@@ -8,15 +8,31 @@ may be a disjunction of equations (separated by '|').
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 
 from . import rings
 from .errors import InfiniteCarrier
-from .meadow import Meadow, MeadowElement, PreMeadow
+from .meadow import CarrierIndex, Meadow, MeadowElement, PreMeadow
 from .report import EXHAUSTIVE, AxiomReport, LawResult, sampled
-from .terms import Term, Var, eval_term, parse
+from .terms import (
+    Add,
+    Div,
+    ErrorConst,
+    Inv,
+    Mul,
+    Neg,
+    Numeral,
+    Pow,
+    Sub,
+    Term,
+    Var,
+    _power,
+    eval_term,
+    parse,
+)
 
 EXHAUSTIVE_TUPLE_LIMIT = 10_000
 
@@ -42,8 +58,6 @@ def _variables(t: Term) -> set[str]:
 
 
 def _uses_inverse(t: Term) -> bool:
-    from .terms import Div, Inv, Pow
-
     if isinstance(t, (Div, Inv)):
         return True
     if isinstance(t, Pow) and t.exponent < 0:
@@ -179,36 +193,119 @@ def _carrier_pool(m: PreMeadow) -> list[MeadowElement]:
     return out
 
 
-def _unit_locus(m: Meadow, pool) -> list[MeadowElement]:
+def _unit_locus(pool, zero_of, inverse) -> list:
     """Elements whose component zero matches their inverse's component zero."""
-    return [x for x in pool if m.zero_of(x) == m.zero_of(m.inverse(x))]
+    return [x for x in pool if zero_of(x) == zero_of(inverse(x))]
 
 
-def _check_law(l: Law, m: PreMeadow, pool, exhaustive: bool, budget: int, rng) -> LawResult:
-    k = len(l.variables)
-    if exhaustive:
-        tuples = itertools.product(pool, repeat=k) if k else [()]
-    else:
-        total = len(pool) ** k if k else 1
-        if total <= budget:
-            tuples = itertools.product(pool, repeat=k) if k else [()]
-        else:
-            tuples = (tuple(rng.choice(pool) for _ in range(k)) for _ in range(budget))
-    checked = 0
-    witness = None
-    for combo in tuples:
-        checked += 1
-        env = dict(zip(l.variables, combo))
+# A scan takes an iterable of variable tuples (in ``Law.variables`` order)
+# and returns (tuples checked, first failing tuple or None).
+
+
+def _element_scan(l: Law, m: PreMeadow):
+    def holds(env) -> bool:
         if any(
             (eval_term(p_lhs, m, env) == eval_term(p_rhs, m, env)) != want
             for p_lhs, p_rhs, want in l.premises
         ):
-            continue
-        if not any(
-            eval_term(lhs, m, env) == eval_term(rhs, m, env) for lhs, rhs in l.alternatives
-        ):
-            witness = combo
-            break
+            return True
+        return any(eval_term(lhs, m, env) == eval_term(rhs, m, env) for lhs, rhs in l.alternatives)
+
+    def scan(tuples):
+        checked = 0
+        for checked, combo in enumerate(tuples, 1):
+            if not holds(dict(zip(l.variables, combo))):
+                return checked, combo
+        return checked, None
+
+    return scan
+
+
+@functools.cache
+def _compile(l: Law):
+    """(make_scan, tables read, closed terms read) for the law on index tables.
+
+    ``make_scan(**tables, power=..., c0=..., ...)`` returns a scan whose
+    condition is the law inlined as table lookups: a tuple passes when a
+    premise is unmet or an alternative holds.
+    """
+    names = {v: f"v{k}" for k, v in enumerate(l.variables)}
+    constants: list[Term] = []
+    tables: set[str] = set()
+
+    def lookup(table: str, *args: str) -> str:
+        tables.add(table)
+        return table + "".join(f"[{a}]" for a in args)
+
+    def expr(t: Term) -> str:
+        if isinstance(t, Var):
+            return names[t.name]
+        if isinstance(t, (Numeral, ErrorConst)):
+            if t not in constants:
+                constants.append(t)
+            return f"c{constants.index(t)}"
+        if isinstance(t, Add):
+            return lookup("add", expr(t.left), expr(t.right))
+        if isinstance(t, Sub):
+            return lookup("add", expr(t.left), lookup("neg", expr(t.right)))
+        if isinstance(t, Mul):
+            return lookup("mul", expr(t.left), expr(t.right))
+        if isinstance(t, Div):
+            return lookup("mul", expr(t.left), lookup("inverse", expr(t.right)))
+        if isinstance(t, Neg):
+            return lookup("neg", expr(t.arg))
+        if isinstance(t, Inv):
+            return lookup("inverse", expr(t.arg))
+        if isinstance(t, Pow):
+            base, n = expr(t.base), t.exponent
+            if n == 0:
+                return lookup("add", expr(Numeral(1)), lookup("zero_of", base))
+            if n < 0:
+                base, n = lookup("inverse", base), -n
+            if n == 1:
+                return base
+            return f"power(lambda p, q: {lookup('mul', 'p', 'q')}, {base}, {n})"
+        raise TypeError(f"not a term: {t!r}")
+
+    parts = [f"{expr(lhs)} {'!=' if want else '=='} {expr(rhs)}" for lhs, rhs, want in l.premises]
+    parts += [f"{expr(lhs)} == {expr(rhs)}" for lhs, rhs in l.alternatives]
+    target = "(" + "".join(f"{v}, " for v in names.values()) + ")"
+    params = ", ".join(sorted(tables) + ["power"] + [f"c{k}" for k in range(len(constants))])
+    source = (
+        f"def make_scan({params}):\n"
+        f"    def scan(tuples):\n"
+        f"        checked = 0\n"
+        f"        for checked, {target} in enumerate(tuples, 1):\n"
+        f"            if not ({' or '.join(parts)}):\n"
+        f"                return checked, {target}\n"
+        f"        return checked, None\n"
+        f"    return scan\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<law {l.name}>", "exec"), namespace)
+    return namespace["make_scan"], tuple(sorted(tables)), tuple(constants)
+
+
+def _index_scan(l: Law, ix: CarrierIndex):
+    make_scan, tables, constants = _compile(l)
+    args = {table: getattr(ix, table) for table in tables}
+    args.update((f"c{k}", ix.position[eval_term(c, ix.meadow)]) for k, c in enumerate(constants))
+    scan_indices = make_scan(power=_power, **args)
+
+    def scan(tuples):
+        checked, witness = scan_indices(tuples)
+        return checked, None if witness is None else tuple(ix.elements[i] for i in witness)
+
+    return scan
+
+
+def _check_law(l: Law, scan, pool, exhaustive: bool, budget: int, rng) -> LawResult:
+    k = len(l.variables)
+    if exhaustive or len(pool) ** k <= budget:
+        tuples = itertools.product(pool, repeat=k)
+    else:
+        tuples = (tuple(rng.choice(pool) for _ in range(k)) for _ in range(budget))
+    checked, witness = scan(tuples)
     return LawResult(
         name=l.name,
         status="pass" if witness is None else "fail",
@@ -229,7 +326,8 @@ def check_axioms(
     Finite carriers default to exhaustive checking while the tuple count
     per law stays within EXHAUSTIVE_TUPLE_LIMIT; pass ``exhaustive=True``
     to force a full scan, or ``False`` to force seeded sampling.  Infinite
-    carriers always sample a fixed deterministic pool.
+    carriers always sample a fixed deterministic pool.  The report says
+    "exhaustive" whenever every law ran on all tuples of a finite carrier.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; options: {sorted(SUITES)}")
@@ -243,16 +341,25 @@ def check_axioms(
         exhaustive = finite and len(_carrier_pool(m)) ** max_arity <= EXHAUSTIVE_TUPLE_LIMIT
     if exhaustive and not finite:
         raise InfiniteCarrier("exhaustive checking needs a finite carrier")
-    if finite:
-        m.freeze_tables()
 
-    pool = _carrier_pool(m)
-    if suite == "AssemblyMul":
-        pool = _unit_locus(m, pool)
+    # A meadow whose inverse is not certified stays on the element path,
+    # where an ambiguous inverse raises at the first tuple that meets it.
+    ix = m.freeze_tables() if finite else None
+    if ix is None or (isinstance(m, Meadow) and m.status != "verified"):
+        pool = _carrier_pool(m)
+        if suite == "AssemblyMul":
+            pool = _unit_locus(pool, m.zero_of, m.inverse)
+        scans = [_element_scan(l, m) for l in laws]
+    else:
+        pool = list(range(len(ix.elements)))
+        if suite == "AssemblyMul":
+            pool = _unit_locus(pool, ix.zero_of.__getitem__, ix.inverse.__getitem__)
+        scans = [_index_scan(l, ix) for l in laws]
 
     rng = random.Random(seed)
-    results = [_check_law(l, m, pool, exhaustive, budget, rng) for l in laws]
-    mode = EXHAUSTIVE if exhaustive else sampled(budget)
+    results = [_check_law(l, scan, pool, exhaustive, budget, rng) for l, scan in zip(laws, scans)]
+    complete = exhaustive or (finite and all(len(pool) ** len(l.variables) <= budget for l in laws))
+    mode = EXHAUSTIVE if complete else sampled(budget)
     return AxiomReport(suite=suite, mode=mode, laws=results)
 
 
@@ -337,6 +444,6 @@ def find_counterexample(dl, law_name: str, mode_budget: int = 512, seed: int = 0
             if l.name == law_name:
                 pool = _carrier_pool(m)
                 rng = random.Random(seed)
-                result = _check_law(l, m, pool, m.is_finite(), mode_budget, rng)
+                result = _check_law(l, _element_scan(l, m), pool, m.is_finite(), mode_budget, rng)
                 return tuple(result.witnesses[0]) if result.witnesses else None
     raise ValueError(f"unknown law {law_name!r}")

@@ -84,19 +84,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_table(args) -> int:
-    meadow = _load_meadow(args.file)
-    rows = []
+    ix = _load_meadow(args.file).freeze_tables()
+    names = [format_element(x) for x in ix.elements]
     if args.op == "inverse":
-        for x in meadow.elements():
-            rows.append(f"{format_element(x)} ^-1 = {format_element(meadow.inverse(x))}")
+        rows = [f"{x} ^-1 = {names[k]}" for x, k in zip(names, ix.inverse)]
     else:
-        op = meadow.add if args.op == "add" else meadow.mul
-        symbol = "+" if args.op == "add" else "*"
-        for x in meadow.elements():
-            for y in meadow.elements():
-                rows.append(
-                    f"{format_element(x)} {symbol} {format_element(y)} = {format_element(op(x, y))}"
-                )
+        table, symbol = (ix.add, "+") if args.op == "add" else (ix.mul, "*")
+        rows = [
+            f"{x} {symbol} {y} = {names[k]}"
+            for x, row in zip(names, table)
+            for y, k in zip(names, row)
+        ]
     print("\n".join(rows))
     return 0
 

@@ -12,13 +12,15 @@ from __future__ import annotations
 import itertools
 
 from . import rings
-from .meadow import PreMeadow
+from .meadow import PreMeadow, index_table
 from .morphisms import FiniteSubset, MeadowIdeal, WholeRing, ideal_validate
 
 
-def _search_maps(elements, candidates, add_src, mul_src, add_dst, mul_dst, seeds):
-    """All maps respecting both operation tables; DFS with forced closure."""
-    elements = list(elements)
+def _search_maps(n_src, n_dst, add_src, mul_src, add_dst, mul_dst, seeds):
+    """All maps 0..n_src-1 -> 0..n_dst-1 respecting both index tables.
+
+    DFS with forced closure; a map is a dict in assignment order.
+    """
     results = []
 
     def consistent(assign, newly):
@@ -28,8 +30,8 @@ def _search_maps(elements, candidates, add_src, mul_src, add_dst, mul_dst, seeds
             for y in list(assign):
                 for src_op, dst_op in ((add_src, add_dst), (mul_src, mul_dst)):
                     for u, v in ((x, y), (y, x)):
-                        s = src_op[(u, v)]
-                        img = dst_op[(assign[u], assign[v])]
+                        s = src_op[u][v]
+                        img = dst_op[assign[u]][assign[v]]
                         if s in assign:
                             if assign[s] != img:
                                 return False
@@ -39,12 +41,12 @@ def _search_maps(elements, candidates, add_src, mul_src, add_dst, mul_dst, seeds
         return True
 
     def extend(assign):
-        missing = [e for e in elements if e not in assign]
+        missing = [e for e in range(n_src) if e not in assign]
         if not missing:
             results.append(dict(assign))
             return
         x = missing[0]
-        for img in candidates:
+        for img in range(n_dst):
             trial = dict(assign)
             trial[x] = img
             if consistent(trial, [x]):
@@ -56,21 +58,24 @@ def _search_maps(elements, candidates, add_src, mul_src, add_dst, mul_dst, seeds
     return results
 
 
-def _op_tables(elems, add, mul):
-    addt = {(x, y): add(x, y) for x in elems for y in elems}
-    mult = {(x, y): mul(x, y) for x in elems for y in elems}
-    return addt, mult
-
-
 def enumerate_ring_homs(src: rings.RingDescriptor, dst: rings.RingDescriptor) -> list[rings.RingHom]:
     """Every unital ring hom between two finite rings, as table homs."""
     src_elems = rings.enumerate_ring(src)
     dst_elems = rings.enumerate_ring(dst)
-    add_s, mul_s = _op_tables(src_elems, rings.add, rings.mul)
-    add_d, mul_d = _op_tables(dst_elems, rings.add, rings.mul)
-    seeds = {rings.one_value(src): rings.one_value(dst)}
-    maps = _search_maps(src_elems, dst_elems, add_s, mul_s, add_d, mul_d, seeds)
-    return [rings.table_hom(src, dst, m.items()) for m in maps]
+    seeds = {src_elems.index(rings.one_value(src)): dst_elems.index(rings.one_value(dst))}
+    maps = _search_maps(
+        len(src_elems),
+        len(dst_elems),
+        index_table(src_elems, rings.add),
+        index_table(src_elems, rings.mul),
+        index_table(dst_elems, rings.add),
+        index_table(dst_elems, rings.mul),
+        seeds,
+    )
+    return [
+        rings.table_hom(src, dst, [(src_elems[i], dst_elems[j]) for i, j in m.items()])
+        for m in maps
+    ]
 
 
 def enumerate_meadow_hom_maps(m: PreMeadow, n: PreMeadow) -> list[dict]:
@@ -79,14 +84,12 @@ def enumerate_meadow_hom_maps(m: PreMeadow, n: PreMeadow) -> list[dict]:
     Nothing about node maps or ring maps is assumed; only f(1) = 1 seeds
     the search, everything else is forced or branched on.
     """
-    src_elems = m.elements()
-    dst_elems = n.elements()
-    m.freeze_tables()
-    n.freeze_tables()
-    add_s, mul_s = _op_tables(src_elems, m.add, m.mul)
-    add_d, mul_d = _op_tables(dst_elems, n.add, n.mul)
-    seeds = {m.one: n.one}
-    return _search_maps(src_elems, dst_elems, add_s, mul_s, add_d, mul_d, seeds)
+    src, dst = m.freeze_tables(), n.freeze_tables()
+    seeds = {src.position[m.one]: dst.position[n.one]}
+    maps = _search_maps(
+        len(src.elements), len(dst.elements), src.add, src.mul, dst.add, dst.mul, seeds
+    )
+    return [{src.elements[i]: dst.elements[j] for i, j in mp.items()} for mp in maps]
 
 
 def _finite_ring_ideals(desc: rings.RingDescriptor) -> list[frozenset]:

@@ -108,10 +108,6 @@ class CharacteristicMismatch(MeadowError):
     """Gluing requires both top rings to have the given prime characteristic."""
 
 
-class UnsupportedDescriptor(MeadowError):
-    """The operation is not available for this ring kind."""
-
-
 class UnboundVariable(MeadowError):
     """A term variable has no binding in the environment."""
 

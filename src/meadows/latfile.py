@@ -64,14 +64,22 @@ def ring_to_json(desc: rings.RingDescriptor):
 
 
 def value_from_json(desc: rings.RingDescriptor, obj) -> rings.RingValue:
+    """The exact value of ``desc`` written as ``obj``; floats are refused."""
+    try:
+        return _value_from_json(desc, obj)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad value {obj!r} for {desc}: {exc}") from exc
+
+
+def _value_from_json(desc: rings.RingDescriptor, obj) -> rings.RingValue:
     if isinstance(desc, rings.Rationals) and isinstance(obj, str):
         return rings.ring_value(desc, Fraction(obj))
     if isinstance(desc, rings.Product):
         return rings.ring_value(
-            desc, [value_from_json(f, item) for f, item in zip(desc.factors, obj)]
+            desc, [_value_from_json(f, item) for f, item in zip(desc.factors, obj)]
         )
     if isinstance(desc, rings.Poly):
-        return rings.ring_value(desc, [value_from_json(desc.base, c).payload for c in obj])
+        return rings.ring_value(desc, [_value_from_json(desc.base, c).payload for c in obj])
     if isinstance(desc, rings.Zero):
         return rings.ring_value(desc, None)
     return rings.ring_value(desc, obj)

@@ -12,7 +12,7 @@ import itertools
 
 from . import rings
 from .errors import NotComparable, UnknownNode
-from .report import EXHAUSTIVE, ValidationReport, sampled
+from .report import ValidationReport
 
 
 def node_key(node) -> str:
@@ -57,10 +57,6 @@ class Lattice:
     def down_set(self, n) -> frozenset:
         self._check(n)
         return frozenset(m for m in self._nodes if (m, n) in self._leq)
-
-    def up_set(self, n) -> frozenset:
-        self._check(n)
-        return frozenset(m for m in self._nodes if (n, m) in self._leq)
 
     def maximal(self, subset) -> frozenset:
         """Elements of the subset not strictly below another element of it."""
@@ -137,7 +133,7 @@ class Lattice:
 
 def lattice_validate(L: Lattice) -> ValidationReport:
     """Order axioms, meet totality and unique top/bottom, with witnesses."""
-    report = ValidationReport(subject="lattice", mode=EXHAUSTIVE)
+    report = ValidationReport(subject="lattice")
     nodes = L.nodes
     bad = next(
         ((a, b) for a, b in itertools.combinations(nodes, 2) if L.leq(a, b) and L.leq(b, a)),
@@ -178,6 +174,7 @@ class DirectedLattice:
                 homs[(up, lo)] = rings.collapse_hom(self.ring_at[up])
         self.edge_homs = homs
         self._transitions: dict[tuple, rings.RingHom] = {}
+        self._passed: dict[tuple, ValidationReport] = {}  # (budget, seed) -> passing report
 
     def transition(self, i, j) -> rings.RingHom:
         """The composite hom from the ring at i down to the ring at j."""
@@ -208,8 +205,16 @@ class DirectedLattice:
 
 
 def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> ValidationReport:
-    """Full coherence check of a directed lattice of rings."""
-    report = ValidationReport(subject="directed lattice", mode=EXHAUSTIVE)
+    """Full coherence check of a directed lattice of rings.
+
+    A passing report is kept on ``dl``: a directed lattice is not changed
+    after construction (its transitions are cached on the same terms), so
+    validating it again with the same budget and seed returns that report.
+    """
+    passed = dl._passed.get((budget, seed))
+    if passed is not None:
+        return passed
+    report = ValidationReport(subject="directed lattice")
     report.absorb(lattice_validate(dl.lattice))
     if not report.ok:
         return report
@@ -262,12 +267,13 @@ def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> Validat
                     (x for x in inputs if rings.hom_apply(direct, x) != rings.hom_apply(via, x)),
                     None,
                 )
-                if not exhaustive:
-                    report.mode = sampled(len(inputs))
                 report.add(
                     f"path_independence({i}>{j}>{k})",
                     bad is None,
                     None if bad is None else (bad, rings.hom_apply(via, bad), rings.hom_apply(direct, bad)),
                     checked=len(inputs),
+                    sampled=not exhaustive,
                 )
+    if report.ok:
+        dl._passed[(budget, seed)] = report
     return report

@@ -9,6 +9,7 @@ image is a unit, and falls back to the error element.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -21,6 +22,9 @@ from .errors import (
     NotAZero,
 )
 from .lattice import DirectedLattice, dl_validate, node_key
+
+
+TABLE_OPS = ("add", "mul", "neg", "zero_of", "inverse")  # the tables of a CarrierIndex
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,7 @@ class PreMeadow:
         self.dl = dl
         self.lattice = dl.lattice
         self._elements: list[MeadowElement] | None = None
-        self._add_table: dict | None = None
-        self._mul_table: dict | None = None
+        self._index: CarrierIndex | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -116,15 +119,17 @@ class PreMeadow:
 
     def add(self, x: MeadowElement, y: MeadowElement) -> MeadowElement:
         self._member(x), self._member(y)
-        if self._add_table is not None:
-            return self._add_table[(x, y)]
+        ix = self._index
+        if ix is not None:
+            return ix.elements[ix.add[ix.position[x]][ix.position[y]]]
         k = self.lattice.meet(x.node, y.node)
         return MeadowElement(k, rings.add(self._push(x, k), self._push(y, k)))
 
     def mul(self, x: MeadowElement, y: MeadowElement) -> MeadowElement:
         self._member(x), self._member(y)
-        if self._mul_table is not None:
-            return self._mul_table[(x, y)]
+        ix = self._index
+        if ix is not None:
+            return ix.elements[ix.mul[ix.position[x]][ix.position[y]]]
         k = self.lattice.meet(x.node, y.node)
         return MeadowElement(k, rings.mul(self._push(x, k), self._push(y, k)))
 
@@ -153,31 +158,103 @@ class PreMeadow:
 
     # -- finite operation tables ----------------------------------------------
 
-    def freeze_tables(self) -> None:
-        """Precompute add/mul tables; speeds up exhaustive law checking."""
-        if self._add_table is not None or not self.is_finite():
-            return
-        elems = self.elements()
-        addt, mult = {}, {}
-        for x in elems:
-            for y in elems:
-                addt[(x, y)] = self.add(x, y)
-                mult[(x, y)] = self.mul(x, y)
-        self._add_table, self._mul_table = addt, mult
+    def freeze_tables(self) -> "CarrierIndex":
+        """The index view of the finite carrier; add and mul answer from it afterwards."""
+        if self._index is None:
+            self._index = CarrierIndex(self)
+        return self._index
 
     def operation_table(self, op: str) -> dict:
         """Explicit table for add, mul, neg, zero_of or inverse; finite only."""
-        elems = self.elements()
+        ix = self.freeze_tables()
+        if op not in TABLE_OPS:
+            raise ValueError(f"unknown operation {op!r}")
+        elems, table = ix.elements, getattr(ix, op)
         if op in ("add", "mul"):
-            f = self.add if op == "add" else self.mul
-            return {(x, y): f(x, y) for x in elems for y in elems}
-        if op == "neg":
-            return {x: self.neg(x) for x in elems}
-        if op == "zero_of":
-            return {x: self.zero_of(x) for x in elems}
-        if op == "inverse":
-            return {x: self.inverse(x) for x in elems}
-        raise ValueError(f"unknown operation {op!r}")
+            return {
+                (x, y): elems[k] for x, row in zip(elems, table) for y, k in zip(elems, row)
+            }
+        return {x: elems[k] for x, k in zip(elems, table)}
+
+
+def index_table(values, op) -> list[list[int]]:
+    """A binary operation on a finite list of distinct values, by position."""
+    position = {v: i for i, v in enumerate(values)}
+    return [[position[op(x, y)] for y in values] for x in values]
+
+
+class CarrierIndex:
+    """Index view of a finite carrier: ``elements[i]`` is element i.
+
+    ``add`` and ``mul`` are N x N tables of element indices, ``neg``,
+    ``zero_of`` and ``inverse`` are length-N lists (``inverse`` needs a
+    meadow).  Each table is built the first time it is read.  The binary
+    tables are assembled from one ring table per meet node and the
+    transition maps as index lists, so every entry is what the element
+    operation returns.
+    """
+
+    def __init__(self, m: PreMeadow):
+        self.meadow = m
+        self.elements = m.elements()
+        self.position = {x: i for i, x in enumerate(self.elements)}
+        self._start: dict = {}  # node -> index of its first element
+        self._values: dict = {}  # node -> ring values in carrier order
+        for i, x in enumerate(self.elements):
+            self._start.setdefault(x.node, i)
+            self._values.setdefault(x.node, []).append(x.value)
+        self._local = {n: {v: k for k, v in enumerate(vs)} for n, vs in self._values.items()}
+        self._pushes: dict = {}
+
+    def _push(self, i, k) -> list[int]:
+        """Local index at node k of the image of each value at node i."""
+        key = (i, k)
+        if key not in self._pushes:
+            h, local = self.meadow.dl.transition(i, k), self._local[k]
+            self._pushes[key] = [local[rings.hom_apply(h, v)] for v in self._values[i]]
+        return self._pushes[key]
+
+    def _binary(self, ring_op) -> list[list[int]]:
+        meet = self.meadow.lattice.meet
+        ring_tables: dict = {}
+        rows = []
+        for i in self._values:
+            blocks = []
+            for j in self._values:
+                k = meet(i, j)
+                if k not in ring_tables:
+                    ring_tables[k] = index_table(self._values[k], ring_op)
+                blocks.append((self._push(i, k), self._push(j, k), ring_tables[k], self._start[k]))
+            for a in range(len(self._values[i])):
+                row = []
+                for left, right, table, start in blocks:
+                    images = table[left[a]]
+                    row += [start + images[b] for b in right]
+                rows.append(row)
+        return rows
+
+    def _unary(self, ring_fn) -> list[int]:
+        return [self._start[x.node] + self._local[x.node][ring_fn(x.value)] for x in self.elements]
+
+    @functools.cached_property
+    def add(self) -> list[list[int]]:
+        return self._binary(rings.add)
+
+    @functools.cached_property
+    def mul(self) -> list[list[int]]:
+        return self._binary(rings.mul)
+
+    @functools.cached_property
+    def neg(self) -> list[int]:
+        return self._unary(rings.neg)
+
+    @functools.cached_property
+    def zero_of(self) -> list[int]:
+        return self._unary(lambda v: rings.zero_value(v.ring))
+
+    @functools.cached_property
+    def inverse(self) -> list[int]:
+        return [self.position[self.meadow.inverse(x)] for x in self.elements]
 
 
 class Meadow(PreMeadow):

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .lattice import DirectedLattice, Lattice
 from .meadow import Meadow, MeadowElement, PreMeadow, build_meadow, build_premeadow
-from .report import EXHAUSTIVE, ValidationReport, sampled
+from .report import ValidationReport
 
 # ---------------------------------------------------------------------------
 # meadow homomorphisms
@@ -322,7 +322,7 @@ def ideal_validate(ideal: MeadowIdeal, budget: int = 64) -> ValidationReport:
     """Per-node ideal axioms, plus transition closure across the lattice."""
     m = ideal.meadow
     L = m.lattice
-    report = ValidationReport(subject="meadow ideal", mode=EXHAUSTIVE)
+    report = ValidationReport(subject="meadow ideal")
 
     bottom = L.bottom
     report.add("bottom_is_whole", isinstance(ideal.spec_at(bottom), WholeRing), (bottom,))
@@ -391,13 +391,12 @@ def ideal_validate(ideal: MeadowIdeal, budget: int = 64) -> ValidationReport:
                 (v for v in probes if not ideal.contains(lo, rings.hom_apply(t, v))),
                 None,
             )
-            if not rings.is_finite(m.dl.ring_at[up]):
-                report.mode = sampled(len(probes))
             report.add(
                 f"transition_closed({up}->{lo})",
                 bad is None,
                 None if bad is None else (bad,),
                 checked=len(probes),
+                sampled=not rings.is_finite(m.dl.ring_at[up]),
             )
     return report
 
@@ -595,25 +594,24 @@ class CongruenceClasses:
 def congruence_quotient(f: MeadowHom) -> CongruenceClasses:
     if not (f.source.is_finite() and f.target.is_finite()):
         raise InfiniteCarrier("congruence classes need finite carriers")
-    src = f.source.elements()
-    image_map = {x: f.apply(x) for x in src}
-    targets = f.target.elements()
-    if set(image_map.values()) != set(targets):
+    src, dst = f.source.freeze_tables(), f.target.freeze_tables()
+    # class i collects the preimage of target element i
+    image = [dst.position.get(f.apply(x)) for x in src.elements]
+    if set(image) != set(range(len(dst.elements))):
         raise NotSurjective("congruence quotients need a surjective hom")
 
-    buckets: dict = {t: [] for t in targets}
-    for x in src:
-        buckets[image_map[x]].append(x)
-    images = tuple(targets)
-    classes = tuple(frozenset(buckets[t]) for t in images)
-    class_of = {x: i for i, cls in enumerate(classes) for x in cls}
+    buckets: list[list[int]] = [[] for _ in dst.elements]
+    for x, t in enumerate(image):
+        buckets[t].append(x)
+    classes = tuple(frozenset(src.elements[x] for x in b) for b in buckets)
+    class_of = {x: t for x, t in zip(src.elements, image)}
 
     add_table: dict = {}
     mul_table: dict = {}
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            adds = {class_of[f.source.add(x, y)] for x in ci for y in cj}
-            muls = {class_of[f.source.mul(x, y)] for x in ci for y in cj}
+    for i, ci in enumerate(buckets):
+        for j, cj in enumerate(buckets):
+            adds = {image[src.add[x][y]] for x in ci for y in cj}
+            muls = {image[src.mul[x][y]] for x in ci for y in cj}
             if len(adds) != 1 or len(muls) != 1:
                 raise NotAHomomorphism(f"operations are not well defined on classes ({i}, {j})")
             add_table[(i, j)] = next(iter(adds))
@@ -621,11 +619,11 @@ def congruence_quotient(f: MeadowHom) -> CongruenceClasses:
 
     # the induced map on classes must mirror the target operations exactly
     for i, j in itertools.product(range(len(classes)), repeat=2):
-        if images[add_table[(i, j)]] != f.target.add(images[i], images[j]):
+        if add_table[(i, j)] != dst.add[i][j]:
             raise NotAHomomorphism("induced addition disagrees with the target")
-        if images[mul_table[(i, j)]] != f.target.mul(images[i], images[j]):
+        if mul_table[(i, j)] != dst.mul[i][j]:
             raise NotAHomomorphism("induced multiplication disagrees with the target")
-    return CongruenceClasses(classes, class_of, add_table, mul_table, images)
+    return CongruenceClasses(classes, class_of, add_table, mul_table, tuple(dst.elements))
 
 
 # ---------------------------------------------------------------------------

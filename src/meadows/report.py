@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 EXHAUSTIVE = "exhaustive"
 
 
-def sampled(count: int) -> str:
-    return f"sampled:{count}"
+def sampled(what) -> str:
+    return f"sampled:{what}"
 
 
 @dataclass
@@ -18,6 +18,7 @@ class CheckResult:
     witness: tuple | None = None
     checked: int = 0
     note: str = ""
+    sampled: bool = False  # the inputs were a sample of an infinite domain
 
 
 @dataclass
@@ -25,25 +26,30 @@ class ValidationReport:
     """Outcome of validating one structure, check by check."""
 
     subject: str
-    mode: str = EXHAUSTIVE
     checks: list[CheckResult] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    @property
+    def mode(self) -> str:
+        """"exhaustive", or "sampled:" naming each sampled check and its input count."""
+        parts = [f"{c.name}={c.checked}" for c in self.checks if c.sampled]
+        return sampled(", ".join(parts)) if parts else EXHAUSTIVE
+
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def add(self, name: str, passed: bool, witness=None, checked: int = 0, note: str = "") -> None:
-        self.checks.append(CheckResult(name, passed, witness, checked, note))
+    def add(
+        self, name: str, passed: bool, witness=None, checked: int = 0, note: str = "", sampled: bool = False
+    ) -> None:
+        self.checks.append(CheckResult(name, passed, witness, checked, note, sampled))
 
     def absorb(self, other: ValidationReport, prefix: str = "") -> None:
-        if other.mode != EXHAUSTIVE:
-            self.mode = other.mode
         for c in other.checks:
             self.checks.append(
-                CheckResult(prefix + c.name if prefix else c.name, c.passed, c.witness, c.checked, c.note)
+                CheckResult(prefix + c.name, c.passed, c.witness, c.checked, c.note, c.sampled)
             )
 
     def summary(self) -> str:
@@ -85,9 +91,6 @@ class AxiomReport:
     @property
     def ok(self) -> bool:
         return all(r.passed for r in self.laws)
-
-    def counterexamples(self) -> list[tuple[str, tuple]]:
-        return [(r.name, w) for r in self.laws for w in r.witnesses]
 
     def law(self, name: str) -> LawResult:
         for r in self.laws:

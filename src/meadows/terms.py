@@ -85,13 +85,28 @@ class Pow(Term):
 # parsing
 
 
+# Deepest term tree and parenthesis nesting the parser accepts.  The parser
+# recurses four frames per parenthesis and eval_term, format_term and the
+# law compiler one frame per tree level, so this keeps them all well inside
+# Python's default recursion limit of 1000.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns (term, depth of its tree)."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nesting = 0
 
     def error(self, message: str):
         raise TermSyntaxError(message, self.pos)
+
+    def bounded(self, depth: int) -> int:
+        if depth > MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH}")
+        return depth
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -107,33 +122,40 @@ class _Parser:
             return True
         return False
 
-    def expr(self) -> Term:
-        node = self.term()
+    def expr(self) -> tuple[Term, int]:
+        node, depth = self.term()
         while True:
             if self.take("+"):
-                node = Add(node, self.term())
+                cls = Add
             elif self.take("-"):
-                node = Sub(node, self.term())
+                cls = Sub
             else:
-                return node
+                return node, depth
+            right, right_depth = self.term()
+            node, depth = cls(node, right), self.bounded(max(depth, right_depth) + 1)
 
-    def term(self) -> Term:
-        node = self.factor()
+    def term(self) -> tuple[Term, int]:
+        node, depth = self.factor()
         while True:
             if self.take("*"):
-                node = Mul(node, self.factor())
+                cls = Mul
             elif self.take("/"):
-                node = Div(node, self.factor())
+                cls = Div
             else:
-                return node
+                return node, depth
+            right, right_depth = self.factor()
+            node, depth = cls(node, right), self.bounded(max(depth, right_depth) + 1)
 
-    def factor(self) -> Term:
-        if self.take("-"):
-            return Neg(self.factor())
-        node = self.atom()
+    def factor(self) -> tuple[Term, int]:
+        negations = 0
+        while self.take("-"):
+            negations += 1
+        node, depth = self.atom()
         if self.take("^"):
-            return Pow(node, self.signed_int())
-        return node
+            node, depth = Pow(node, self.signed_int()), depth + 1
+        for _ in range(negations):
+            node = Neg(node)
+        return node, self.bounded(depth + negations)
 
     def signed_int(self) -> int:
         self.skip_ws()
@@ -146,19 +168,21 @@ class _Parser:
             self.error("expected an integer exponent")
         return sign * int(self.text[start : self.pos])
 
-    def atom(self) -> Term:
+    def atom(self) -> tuple[Term, int]:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
+            self.nesting = self.bounded(self.nesting + 1)
             node = self.expr()
             if not self.take(")"):
                 self.error("expected ')'")
+            self.nesting -= 1
             return node
         if ch.isdigit():
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
-            return Numeral(int(self.text[start : self.pos]))
+            return Numeral(int(self.text[start : self.pos])), 1
         if ch.isalpha() or ch == "_":
             start = self.pos
             while self.pos < len(self.text) and (
@@ -166,13 +190,13 @@ class _Parser:
             ):
                 self.pos += 1
             name = self.text[start : self.pos]
-            return ErrorConst() if name == "a" else Var(name)
+            return (ErrorConst() if name == "a" else Var(name)), 1
         self.error("expected a number, variable, 'a' or '('")
 
 
 def parse(text: str) -> Term:
     p = _Parser(text)
-    node = p.expr()
+    node, _depth = p.expr()
     p.skip_ws()
     if p.pos != len(text):
         p.error("unexpected trailing input")
@@ -224,16 +248,25 @@ def eval_term(t: Term, meadow: PreMeadow, env: dict | None = None) -> MeadowElem
             # x^0 keeps the component information: 1 + 0*x
             return meadow.add(meadow.one, meadow.zero_of(base))
         if t.exponent < 0:
-            inv = meadow.inverse(base)
-            out = inv
-            for _ in range(-t.exponent - 1):
-                out = meadow.mul(out, inv)
-            return out
-        out = base
-        for _ in range(t.exponent - 1):
-            out = meadow.mul(out, base)
-        return out
+            return _power(meadow.mul, meadow.inverse(base), -t.exponent)
+        return _power(meadow.mul, base, t.exponent)
     raise TypeError(f"not a term: {t!r}")
+
+
+def _power(mul, x, n: int):
+    """x multiplied by itself to n >= 1 factors, by square-and-multiply.
+
+    Equal to the left-to-right product because multiplication is
+    associative and commutative (PM5, PM6).
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if not n:
+            return result
+        x = mul(x, x)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,15 @@ def test_cm_sampled_on_infinite_chain():
     assert report.mode.startswith("sampled")
 
 
+def test_sampling_that_covers_every_tuple_reports_exhaustive():
+    m = adjoin_error(rings.Mod(3))  # 4 elements, at most 64 tuples per law
+    covered = axioms.check_axioms(m, "CM", budget=64, exhaustive=False)
+    assert covered.mode == "exhaustive"
+    full = axioms.check_axioms(m, "CM", exhaustive=True)
+    assert [l.checked for l in covered.laws] == [l.checked for l in full.laws]
+    assert axioms.check_axioms(m, "CM", budget=63, exhaustive=False).mode == "sampled:63"
+
+
 def test_exhaustive_on_infinite_raises():
     N = build_meadow(corpus.chain_z_q(), mode="verify")
     with pytest.raises(InfiniteCarrier):

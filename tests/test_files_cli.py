@@ -85,6 +85,49 @@ def test_validation_failure_carries_report(tmp_path):
     assert exc.value.report.failures()
 
 
+def test_float_value_in_a_file_is_a_parse_error():
+    with pytest.raises(ParseError):
+        value_from_json(rings.Q, 0.1)
+    with pytest.raises(ParseError):
+        value_from_json(rings.Product((rings.Mod(2), rings.Mod(3))), [True, 1])
+
+
+def test_cli_validates_a_lattice_file_once(monkeypatch, capsys):
+    from meadows import lattice
+
+    calls = []
+    real = lattice.lattice_validate
+
+    def counting(L):
+        calls.append(L)
+        return real(L)
+
+    monkeypatch.setattr(lattice, "lattice_validate", counting)
+    assert main(["eval", "lattices/z6.json", "2 * 3"]) == 0
+    assert capsys.readouterr().out.strip() == "0 @ z6"
+    assert len(calls) == 1
+
+
+def test_cli_invalid_file_reports_validation_failure(tmp_path, capsys):
+    bad = {
+        "nodes": {"t": {"ring": {"mod": 4}}, "b": {"ring": {"mod": 2}}, "a": {"ring": "zero"}},
+        "order": [["a", "b"], ["b", "t"]],
+        "homs": [{"from": "t", "to": "b", "map": {"table": [[0, 0], [1, 1], [2, 1], [3, 1]]}}],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["--json", "check", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ValidationFailed"
+    with pytest.raises(ValidationFailed) as exc:
+        load_lattice_file(path)
+    report = exc.value.report
+    assert payload["detail"] == report.summary()
+    assert payload["checks"] == [
+        {"name": c.name, "status": "pass" if c.passed else "fail"} for c in report.checks
+    ]
+
+
 def test_lattice_dict_round_trip():
     dl = load_lattice_file("lattices/field_diamond.json")
     data = lattice_to_dict(dl)

@@ -148,3 +148,17 @@ def test_corpus_lattices_all_validate():
     for name, dl in corpus.valid_finite_lattices():
         report = dl_validate(dl)
         assert report.ok, f"{name}: {report.summary()}"
+
+
+def test_validation_mode_names_every_sampled_check():
+    assert dl_validate(corpus.field_diamond()).mode == "exhaustive"
+    report = dl_validate(corpus.chain_z_q())
+    sampled = [c for c in report.checks if c.sampled]
+    assert {c.name for c in sampled} == {
+        "edge(n0->n1).additive",
+        "edge(n0->n1).multiplicative",
+        "edge(n1->a).additive",
+        "edge(n1->a).multiplicative",
+        "path_independence(n0>n1>a)",
+    }
+    assert report.mode == "sampled:" + ", ".join(f"{c.name}={c.checked}" for c in sampled)

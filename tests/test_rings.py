@@ -46,7 +46,6 @@ def test_zero_ring_operations_return_token():
     tok = v(rings.ZERO, None)
     assert rings.add(tok, tok) == tok
     assert rings.mul(tok, tok) == tok
-    assert rings.ring_arith(rings.ZERO, "add", tok, tok) == tok
 
 
 def test_descriptor_mismatch_is_refused():
@@ -63,6 +62,23 @@ def test_descriptor_invariants():
         rings.Product(())
     with pytest.raises(ValueError):
         rings.Product((rings.ZERO,))
+
+
+def test_inexact_payloads_are_refused():
+    with pytest.raises(ValueError):
+        rings.ring_value(rings.Q, 0.1)  # would be 3602879701896397/36028797018963968
+    with pytest.raises(ValueError):
+        rings.ring_value(rings.Mod(5), True)
+    with pytest.raises(ValueError):
+        rings.ring_value(rings.Z, False)
+    with pytest.raises(ValueError):
+        rings.ring_value(rings.Poly(rings.Q), [1, 0.5])
+    assert rings.ring_value(rings.Q, "0.1").payload == Fraction(1, 10)
+
+
+def test_projection_injective_iff_single_factor():
+    assert rings.hom_injective(rings.project(rings.Product((rings.Z,)), 0)) == (True, None)
+    assert rings.hom_injective(rings.project(rings.Product((rings.Z, rings.Q)), 1)) == (False, None)
 
 
 @given(st.fractions(), st.fractions())

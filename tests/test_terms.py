@@ -1,5 +1,8 @@
 """Expression parsing, total evaluation and formatting."""
 
+import json
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,7 @@ from meadows.errors import ReservedIdentifier, TermSyntaxError, UnboundVariable
 from meadows.meadow import build_meadow
 from meadows.morphisms import adjoin_error
 from meadows.terms import (
+    MAX_DEPTH,
     Add,
     Div,
     ErrorConst,
@@ -76,6 +80,36 @@ def test_syntax_error_carries_position():
         parse("x^y")
 
 
+def test_nesting_past_the_depth_bound_is_a_syntax_error():
+    deep = 5000
+    for text in (
+        "(" * deep + "1" + ")" * deep,
+        "-" * deep + "1",
+        "1" + " + 1" * deep,
+        "x" + " * x" * deep,
+    ):
+        with pytest.raises(TermSyntaxError, match="nested deeper"):
+            parse(text)
+
+
+def test_nesting_up_to_the_depth_bound_parses(M6):
+    n = MAX_DEPTH
+    assert parse("(" * n + "1" + ")" * n) == Numeral(1)
+    chain = parse("1" + " + 1" * (n - 1))
+    assert eval_term(chain, M6) == M6.numeral(n)
+    assert parse("-" * (n - 1) + "1") == parse("-(" * (n - 1) + "1" + ")" * (n - 1))
+
+
+def test_cli_reports_deep_nesting_as_json_error(capsys):
+    from meadows.cli import main
+
+    text = "(" * 5000 + "1" + ")" * 5000
+    assert main(["--json", "eval", "lattices/z6.json", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "TermSyntaxError"
+
+
 def test_binding_a_is_reserved(M6):
     with pytest.raises(ReservedIdentifier):
         bind_env(M6, {"a": M6.one})
@@ -117,6 +151,27 @@ def test_power_zero_keeps_component_information(N):
 def test_positive_and_negative_powers(M6, N):
     assert eval_term(parse("5^2"), M6) == M6.element("top", 1)  # 25 mod 6
     assert eval_term(parse("2^-2"), N) == N.element("n1", "1/4")
+
+
+def test_powers_equal_repeated_multiplication():
+    for name, m in corpus.finite_meadows():
+        for x in m.elements():
+            inv = m.inverse(x)
+            for n in range(1, 12):
+                for base, exponent in ((x, n), (inv, -n)):
+                    want = base
+                    for _ in range(n - 1):
+                        want = m.mul(want, base)
+                    got = eval_term(Pow(Var("x"), exponent), m, {"x": x})
+                    assert got == want, (name, x, exponent)
+
+
+def test_huge_exponent_is_fast(N, M6):
+    t0 = time.perf_counter()
+    assert eval_term(parse("1^100000"), N) == N.one
+    assert eval_term(parse("x^100001"), M6, {"x": M6.element("top", 5)}) == M6.element("top", 5)
+    assert eval_term(parse("x^-100000"), M6, {"x": M6.element("top", 5)}) == M6.element("top", 1)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_unbound_variable(N):
