@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import rings
 from .errors import InfiniteCarrier
@@ -104,16 +104,8 @@ PM_LAWS = (
     law("PM10", "0*(x + y) = 0*x*y"),
 )
 
-CM_LAWS = (
-    law("M1", "(x + y) + z = x + (y + z)"),
-    law("M2", "x + y = y + x"),
-    law("M3", "x + 0 = x"),
-    law("M4", "x + (-x) = 0*x"),
-    law("M5", "(x*y)*z = x*(y*z)"),
-    law("M6", "x*y = y*x"),
-    law("M7", "1*x = x"),
-    law("M8", "x*(y + z) = x*y + x*z"),
-    law("M9", "-(-x) = x"),
+# M1-M9 are PM1-PM9 under their CM names
+CM_LAWS = tuple(replace(pm, name="M" + pm.name[2:]) for pm in PM_LAWS[:9]) + (
     law("M10", "x * x^-1 = 1 + 0*x^-1"),
     law("M11", "(x*y)^-1 = x^-1 * y^-1"),
     law("M12", "(1 + 0*x)^-1 = 1 + 0*x"),

@@ -20,13 +20,15 @@ unique and synthesized).  Ideal file:
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import rings
 from .errors import ParseError, ValidationFailed
-from .lattice import DirectedLattice, Lattice, dl_validate
+from .lattice import DirectedLattice, Lattice, dl_validate, node_key
 from .meadow import PreMeadow
 from .morphisms import FiniteSubset, MeadowIdeal, NZ, WholeRing, ZeroIdeal
+
+# what a malformed file raises from the code that reads it (MeadowErrors pass)
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
 def ring_from_json(obj) -> rings.RingDescriptor:
@@ -66,23 +68,9 @@ def ring_to_json(desc: rings.RingDescriptor):
 def value_from_json(desc: rings.RingDescriptor, obj) -> rings.RingValue:
     """The exact value of ``desc`` written as ``obj``; floats are refused."""
     try:
-        return _value_from_json(desc, obj)
+        return rings.ring_value(desc, obj)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"bad value {obj!r} for {desc}: {exc}") from exc
-
-
-def _value_from_json(desc: rings.RingDescriptor, obj) -> rings.RingValue:
-    if isinstance(desc, rings.Rationals) and isinstance(obj, str):
-        return rings.ring_value(desc, Fraction(obj))
-    if isinstance(desc, rings.Product):
-        return rings.ring_value(
-            desc, [_value_from_json(f, item) for f, item in zip(desc.factors, obj)]
-        )
-    if isinstance(desc, rings.Poly):
-        return rings.ring_value(desc, [_value_from_json(desc.base, c).payload for c in obj])
-    if isinstance(desc, rings.Zero):
-        return rings.ring_value(desc, None)
-    return rings.ring_value(desc, obj)
 
 
 def value_to_json(v: rings.RingValue):
@@ -137,29 +125,23 @@ def _hom_from_json(spec, source: rings.RingDescriptor, target: rings.RingDescrip
 def lattice_from_dict(data: dict) -> DirectedLattice:
     """Structural parse only; run dl_validate (or load_lattice_file) after."""
     try:
-        node_specs = data["nodes"]
-        order = [tuple(pair) for pair in data["order"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}") from exc
-    ring_at = {name: ring_from_json(spec["ring"]) for name, spec in node_specs.items()}
-    zero_nodes = [n for n, d in ring_at.items() if isinstance(d, rings.Zero)]
-    if len(zero_nodes) != 1:
-        raise ParseError(f"exactly one node must carry the zero ring, found {zero_nodes}")
-    lat = Lattice(list(ring_at), order)
-    try:
-        bottom = lat.bottom
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    if bottom != zero_nodes[0]:
-        raise ParseError(f"the zero node {zero_nodes[0]!r} must be the unique minimum")
-    covers = set(lat.covers())
-    edge_homs = {}
-    for entry in data.get("homs", []):
-        up, lo = entry["from"], entry["to"]
-        if (up, lo) not in covers:
-            raise ParseError(f"hom given for non-covering pair ({up!r}, {lo!r})")
-        edge_homs[(up, lo)] = _hom_from_json(entry["map"], ring_at[up], ring_at[lo])
-    return DirectedLattice(lat, ring_at, edge_homs)
+        ring_at = {name: ring_from_json(spec["ring"]) for name, spec in data["nodes"].items()}
+        zero_nodes = [n for n, d in ring_at.items() if isinstance(d, rings.Zero)]
+        if len(zero_nodes) != 1:
+            raise ParseError(f"exactly one node must carry the zero ring, found {zero_nodes}")
+        lat = Lattice(list(ring_at), [tuple(pair) for pair in data["order"]])
+        if lat.bottom != zero_nodes[0]:
+            raise ParseError(f"the zero node {zero_nodes[0]!r} must be the unique minimum")
+        covers = set(lat.covers())
+        edge_homs = {}
+        for entry in data.get("homs", []):
+            up, lo = entry["from"], entry["to"]
+            if (up, lo) not in covers:
+                raise ParseError(f"hom given for non-covering pair ({up!r}, {lo!r})")
+            edge_homs[(up, lo)] = _hom_from_json(entry["map"], ring_at[up], ring_at[lo])
+        return DirectedLattice(lat, ring_at, edge_homs)
+    except _MALFORMED as exc:
+        raise ParseError(f"malformed lattice file: {type(exc).__name__}: {exc}") from exc
 
 
 def load_lattice_file(path) -> DirectedLattice:
@@ -202,8 +184,6 @@ def _hom_to_json(h: rings.RingHom):
 
 
 def lattice_to_dict(dl: DirectedLattice) -> dict:
-    from .lattice import node_key
-
     bottom = dl.lattice.bottom
     names = {n: node_key(n) for n in dl.lattice.nodes}
     order = sorted(
@@ -226,26 +206,27 @@ def ideal_from_dict(data: dict, meadow: PreMeadow) -> MeadowIdeal:
     """Missing nodes default to the zero ideal; the bottom is always whole."""
     L = meadow.lattice
     ideal_at = {}
-    for node in L.nodes:
-        from .lattice import node_key
-
-        spec = data.get(node_key(node))
-        desc = meadow.dl.ring_at[node]
-        if node == L.bottom:
-            ideal_at[node] = WholeRing()
-        elif spec is None or spec == "zero":
-            ideal_at[node] = ZeroIdeal()
-        elif spec == "whole":
-            ideal_at[node] = WholeRing()
-        elif isinstance(spec, dict) and "nZ" in spec:
-            ideal_at[node] = NZ(spec["nZ"])
-        elif isinstance(spec, dict) and "subset" in spec:
-            ideal_at[node] = FiniteSubset(
-                frozenset(value_from_json(desc, v) for v in spec["subset"])
-            )
-        else:
-            raise ParseError(f"unrecognized ideal spec {spec!r} at node {node!r}")
-    return MeadowIdeal(meadow, ideal_at)
+    try:
+        for node in L.nodes:
+            spec = data.get(node_key(node))
+            desc = meadow.dl.ring_at[node]
+            if node == L.bottom:
+                ideal_at[node] = WholeRing()
+            elif spec is None or spec == "zero":
+                ideal_at[node] = ZeroIdeal()
+            elif spec == "whole":
+                ideal_at[node] = WholeRing()
+            elif isinstance(spec, dict) and "nZ" in spec:
+                ideal_at[node] = NZ(spec["nZ"])
+            elif isinstance(spec, dict) and "subset" in spec:
+                ideal_at[node] = FiniteSubset(
+                    frozenset(value_from_json(desc, v) for v in spec["subset"])
+                )
+            else:
+                raise ParseError(f"unrecognized ideal spec {spec!r} at node {node!r}")
+        return MeadowIdeal(meadow, ideal_at)
+    except _MALFORMED as exc:
+        raise ParseError(f"malformed ideal file: {type(exc).__name__}: {exc}") from exc
 
 
 def load_ideal_file(path, meadow: PreMeadow) -> MeadowIdeal:

@@ -20,26 +20,31 @@ def node_key(node) -> str:
 
 
 class Lattice:
-    """Finite poset stored as a transitively closed relation."""
+    """Finite poset stored as one down-set and one up-set per node."""
 
     def __init__(self, nodes, order):
         self._nodes = tuple(sorted(set(nodes), key=node_key))
-        node_set = set(self._nodes)
+        below = {n: {n} for n in self._nodes}
         for lo, up in order:
-            if lo not in node_set or up not in node_set:
+            if lo not in below or up not in below:
                 raise UnknownNode(f"order pair ({lo!r}, {up!r}) mentions an unknown node")
-        leq = {(n, n) for n in self._nodes}
-        leq.update((lo, up) for lo, up in order)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(tuple(leq), tuple(leq)):
-                if b == c and (a, d) not in leq:
-                    leq.add((a, d))
-                    changed = True
-        self._leq = frozenset(leq)
+            below[up].add(lo)
+        for k in self._nodes:  # Warshall's closure: route every path through k
+            for n in self._nodes:
+                if k in below[n]:
+                    below[n] |= below[k]
+        above = {n: set() for n in self._nodes}
+        for n, lows in below.items():
+            for m in lows:
+                above[m].add(n)
+        self._below = {n: frozenset(s) for n, s in below.items()}
+        self._above = {n: frozenset(s) for n, s in above.items()}
+        self._cover_lowers = {
+            n: tuple(sorted(self.maximal(self._below[n] - {n}), key=node_key)) for n in self._nodes
+        }
+        self._tops = self.maximal(self._nodes)
+        self._bottoms = self.minimal(self._nodes)
         self._meet_cache: dict[tuple, object] = {}
-        self._covers: tuple[tuple, ...] | None = None
 
     @property
     def nodes(self) -> tuple:
@@ -47,36 +52,31 @@ class Lattice:
 
     def _check(self, *given) -> None:
         for n in given:
-            if n not in self._nodes:
+            if n not in self._below:
                 raise UnknownNode(f"{n!r} is not a lattice node")
 
     def leq(self, a, b) -> bool:
         self._check(a, b)
-        return (a, b) in self._leq
+        return a in self._below[b]
 
     def down_set(self, n) -> frozenset:
         self._check(n)
-        return frozenset(m for m in self._nodes if (m, n) in self._leq)
+        return self._below[n]
 
     def maximal(self, subset) -> frozenset:
         """Elements of the subset not strictly below another element of it."""
-        subset = list(subset)
+        subset = frozenset(subset)
         self._check(*subset)
-        return frozenset(
-            s for s in subset if not any(t != s and (s, t) in self._leq for t in subset)
-        )
+        return frozenset(s for s in subset if len(self._above[s] & subset) == 1)
 
     def minimal(self, subset) -> frozenset:
-        subset = list(subset)
+        subset = frozenset(subset)
         self._check(*subset)
-        return frozenset(
-            s for s in subset if not any(t != s and (t, s) in self._leq for t in subset)
-        )
+        return frozenset(s for s in subset if len(self._below[s] & subset) == 1)
 
     def _glb(self, i, j):
         """Greatest lower bound, or None when missing or not unique."""
-        lowers = self.down_set(i) & self.down_set(j)
-        tops = self.maximal(lowers)
+        tops = self.maximal(self._below[i] & self._below[j])
         if len(tops) == 1:
             return next(iter(tops))
         return None
@@ -93,42 +93,26 @@ class Lattice:
 
     @property
     def top(self):
-        tops = self.maximal(self._nodes)
-        if len(tops) != 1:
+        if len(self._tops) != 1:
             raise ValueError("lattice has no unique top")
-        return next(iter(tops))
+        return next(iter(self._tops))
 
     @property
     def bottom(self):
-        bots = self.minimal(self._nodes)
-        if len(bots) != 1:
+        if len(self._bottoms) != 1:
             raise ValueError("lattice has no unique bottom")
-        return next(iter(bots))
+        return next(iter(self._bottoms))
 
     def covers(self) -> tuple[tuple, ...]:
         """(upper, lower) pairs with nothing strictly between."""
-        if self._covers is None:
-            out = []
-            for lo, up in sorted(self._leq, key=lambda p: (node_key(p[1]), node_key(p[0]))):
-                if lo == up:
-                    continue
-                between = any(
-                    m != lo and m != up and (lo, m) in self._leq and (m, up) in self._leq
-                    for m in self._nodes
-                )
-                if not between:
-                    out.append((up, lo))
-            self._covers = tuple(out)
-        return self._covers
+        return tuple((up, lo) for up in self._nodes for lo in self._cover_lowers[up])
 
     def cover_lowers(self, n) -> tuple:
-        return tuple(lo for up, lo in self.covers() if up == n)
+        self._check(n)
+        return self._cover_lowers[n]
 
     def is_chain(self) -> bool:
-        return all(
-            (a, b) in self._leq or (b, a) in self._leq
-            for a, b in itertools.combinations(self._nodes, 2)
-        )
+        return all(len(self._below[n] | self._above[n]) == len(self._nodes) for n in self._nodes)
 
 
 def lattice_validate(L: Lattice) -> ValidationReport:
@@ -199,9 +183,6 @@ class DirectedLattice:
 
     def is_finite(self) -> bool:
         return all(rings.is_finite(d) for d in self.ring_at.values())
-
-    def carrier_size(self) -> int:
-        return sum(rings.ring_size(d) for d in self.ring_at.values())
 
 
 def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> ValidationReport:

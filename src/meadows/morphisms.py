@@ -263,23 +263,31 @@ class NZ(IdealSpec):
             raise ValueError("nZ needs n >= 1")
 
 
+def _normalized(spec: IdealSpec, desc: rings.RingDescriptor) -> IdealSpec:
+    if isinstance(spec, NZ) and spec.n == 1:
+        return WholeRing()
+    if isinstance(spec, FiniteSubset):
+        if rings.is_finite(desc) and spec.values == set(rings.enumerate_ring(desc)):
+            return WholeRing()
+        if spec.values == {rings.zero_value(desc)}:
+            return ZeroIdeal()
+    return spec
+
+
 @dataclass
 class MeadowIdeal:
     meadow: PreMeadow
     ideal_at: dict
 
+    def __post_init__(self):
+        self._specs = {
+            node: _normalized(self.ideal_at.get(node, ZeroIdeal()), desc)
+            for node, desc in self.meadow.dl.ring_at.items()
+        }
+
     def spec_at(self, node) -> IdealSpec:
         """Normalized spec: degenerate subsets fold into Zero or Whole."""
-        spec = self.ideal_at.get(node, ZeroIdeal())
-        desc = self.meadow.dl.ring_at[node]
-        if isinstance(spec, NZ) and spec.n == 1:
-            return WholeRing()
-        if isinstance(spec, FiniteSubset):
-            if rings.is_finite(desc) and spec.values == set(rings.enumerate_ring(desc)):
-                return WholeRing()
-            if spec.values == {rings.zero_value(desc)}:
-                return ZeroIdeal()
-        return spec
+        return self._specs[node]
 
     def contains(self, node, v: rings.RingValue) -> bool:
         spec = self.spec_at(node)

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import rings
 from .errors import ForeignElement, ReservedIdentifier, TermSyntaxError, UnboundVariable
-from .lattice import node_key
 from .meadow import Meadow, MeadowElement, PreMeadow
 
 
@@ -275,9 +273,7 @@ def _power(mul, x, n: int):
 
 def format_element(x: MeadowElement) -> str:
     """Canonical "value @ node" rendering; the error element prints as "a"."""
-    if isinstance(x.value.ring, rings.Zero):
-        return "a"
-    return f"{rings.format_value(x.value)} @ {node_key(x.node)}"
+    return str(x)
 
 
 def format_term(t: Term) -> str:

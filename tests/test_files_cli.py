@@ -6,7 +6,7 @@ import pytest
 
 from meadows import rings
 from meadows.cli import main
-from meadows.errors import ParseError, ValidationFailed
+from meadows.errors import ParseError, UnknownNode, ValidationFailed
 from meadows.latfile import (
     ideal_from_dict,
     lattice_from_dict,
@@ -240,3 +240,64 @@ def test_cli_quotient_example_4_14(capsys):
 def test_cli_error_exit_code(capsys):
     assert main(["eval", "lattices/chain_z_q.json", "x + 1"]) == 1
     assert "UnboundVariable" in capsys.readouterr().err
+
+
+def _lattice(top_ring, lower_ring=None, hom=None):
+    """A chain top > (lower >) a; ``hom`` is the homs entry for top -> lower."""
+    data = {"nodes": {"t": {"ring": top_ring}, "a": {"ring": "zero"}}, "order": [["a", "t"]]}
+    if lower_ring is not None:
+        data["nodes"]["m"] = {"ring": lower_ring}
+        data["order"] = [["a", "m"], ["m", "t"]]
+        data["homs"] = [hom]
+    return data
+
+
+MALFORMED_LATTICES = {
+    "mod_one": _lattice({"mod": 1}),
+    "mod_string": _lattice({"mod": "3"}),
+    "empty_product": _lattice({"product": []}),
+    "poly_over_z": _lattice({"poly": {"base": "Z", "var": "x"}}),
+    "node_without_ring": {"nodes": {"t": {}, "a": {"ring": "zero"}}, "order": [["a", "t"]]},
+    "string_node_spec": {"nodes": {"t": "Z", "a": {"ring": "zero"}}, "order": [["a", "t"]]},
+    "nodes_as_list": {"nodes": [{"ring": "Z"}, {"ring": "zero"}], "order": []},
+    "order_triple": {**_lattice({"mod": 2}), "order": [["a", "t", "a"]]},
+    "hom_not_object": _lattice({"mod": 4}, {"mod": 2}, 5),
+    "hom_without_map": _lattice({"mod": 4}, {"mod": 2}, {"from": "t", "to": "m"}),
+    "project_out_of_range": _lattice(
+        {"product": [{"mod": 2}, {"mod": 2}]}, {"mod": 2}, {"from": "t", "to": "m", "map": {"project": 7}}
+    ),
+    "reduce_mod_non_divisor": _lattice(
+        {"mod": 4}, {"mod": 3}, {"from": "t", "to": "m", "map": {"reduce_mod": 3}}
+    ),
+}
+
+MALFORMED_IDEALS = {"ideal_list": [], "ideal_nz_zero": {"z6": {"nZ": 0}}}
+
+
+def _single_json_error(capsys) -> dict:
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, captured.err
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LATTICES))
+def test_cli_malformed_lattice_file_is_a_parse_error(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_LATTICES[name]))
+    assert main(["--json", "check", str(path)]) == 1
+    assert _single_json_error(capsys)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_IDEALS))
+def test_cli_malformed_ideal_file_is_a_parse_error(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_IDEALS[name]))
+    assert main(["--json", "quotient", "lattices/z6.json", "--ideal", str(path)]) == 1
+    assert _single_json_error(capsys)["error"] == "ParseError"
+
+
+def test_unknown_node_in_order_is_not_rewrapped():
+    data = {**_lattice({"mod": 2}), "order": [["a", "nowhere"]]}
+    with pytest.raises(UnknownNode):
+        lattice_from_dict(data)

@@ -2,7 +2,9 @@
 
 import itertools
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meadows import rings
 from meadows.errors import NotComparable, UnknownNode
@@ -162,3 +164,101 @@ def test_validation_mode_names_every_sampled_check():
         "path_independence(n0>n1>a)",
     }
     assert report.mode == "sampled:" + ", ".join(f"{c.name}={c.checked}" for c in sampled)
+
+
+# -- oracle: random orders against networkx and brute force on the pair relation
+
+
+@st.composite
+def orders(draw, acyclic):
+    """Node names and (lower, upper) pairs; acyclic orders only go up the list."""
+    names = draw(st.permutations([f"n{i}" for i in range(draw(st.integers(1, 7)))]))
+    pairs = [
+        (a, b)
+        for a, b in itertools.permutations(range(len(names)), 2)
+        if a < b or not acyclic
+    ]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return names, [(names[a], names[b]) for a, b in chosen]
+
+
+def _brute_maximal(rel, subset):
+    return frozenset(s for s in subset if not any(t != s and (s, t) in rel for t in subset))
+
+
+def _brute_minimal(rel, subset):
+    return frozenset(s for s in subset if not any(t != s and (t, s) in rel for t in subset))
+
+
+def _unique(found):
+    return next(iter(found)) if len(found) == 1 else None
+
+
+def _check_against_oracle(names, order):
+    L = Lattice(names, order)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(names)
+    graph.add_edges_from(order)
+    rel = set(nx.transitive_closure(graph, reflexive=True).edges())
+    nodes = L.nodes
+
+    for a, b in itertools.product(nodes, repeat=2):
+        assert L.leq(a, b) == ((a, b) in rel)
+        want = _unique(_brute_maximal(rel, {m for m in nodes if (m, a) in rel and (m, b) in rel}))
+        if want is None:
+            with pytest.raises(ValueError):
+                L.meet(a, b)
+        else:
+            assert L.meet(a, b) == want
+    for n in nodes:
+        assert L.down_set(n) == {m for m in nodes if (m, n) in rel}
+    for subset in itertools.chain.from_iterable(
+        itertools.combinations(nodes, r) for r in range(len(nodes) + 1)
+    ):
+        assert L.maximal(subset) == _brute_maximal(rel, subset)
+        assert L.minimal(subset) == _brute_minimal(rel, subset)
+
+    tops, bots = _brute_maximal(rel, nodes), _brute_minimal(rel, nodes)
+    for attr, found in (("top", tops), ("bottom", bots)):
+        if len(found) == 1:
+            assert getattr(L, attr) == _unique(found)
+        else:
+            with pytest.raises(ValueError):
+                getattr(L, attr)
+
+    covers = [
+        (up, lo)
+        for lo, up in sorted(rel, key=lambda p: (p[1], p[0]))
+        if lo != up and not any(m not in (lo, up) and (lo, m) in rel and (m, up) in rel for m in nodes)
+    ]
+    assert list(L.covers()) == covers
+    for n in nodes:
+        assert L.cover_lowers(n) == tuple(lo for up, lo in covers if up == n)
+    assert L.is_chain() == all((a, b) in rel or (b, a) in rel for a in nodes for b in nodes)
+
+    checks = {c.name: c.passed for c in lattice_validate(L).checks}
+    assert checks["antisymmetric"] == all(
+        a == b or not ((a, b) in rel and (b, a) in rel) for a in nodes for b in nodes
+    )
+    assert checks["unique_top"] == (len(tops) == 1)
+    assert checks["unique_bottom"] == (len(bots) == 1)
+    assert checks["meets_exist"] == all(
+        len(_brute_maximal(rel, {m for m in nodes if (m, a) in rel and (m, b) in rel})) == 1
+        for a in nodes
+        for b in nodes
+    )
+    return L, graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(orders(acyclic=True))
+def test_acyclic_orders_match_networkx(case):
+    L, graph = _check_against_oracle(*case)
+    reduction = nx.transitive_reduction(graph)
+    assert set(L.covers()) == {(up, lo) for lo, up in reduction.edges()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(orders(acyclic=False))
+def test_cyclic_orders_match_brute_force(case):
+    _check_against_oracle(*case)

@@ -6,9 +6,12 @@ from meadows import axioms, rings
 from meadows.errors import (
     IdealIsWhole,
     IdealNotKilled,
+    NotAHomomorphism,
     NotLatticeHom,
     NotSurjective,
+    SquareDoesNotCommute,
     TargetMismatch,
+    UnitNotPreserved,
     ZeroRingInput,
 )
 from meadows.enumeration import (
@@ -130,6 +133,29 @@ def test_bad_lattice_map_rejected(MZ, M2):
         )
 
 
+def test_ring_map_not_fixing_one_is_rejected(M2, MP):
+    half_unit = rings.table_hom(Z2, Z2Z2, [(0, (0, 0)), (1, (1, 0))])
+    with pytest.raises(UnitNotPreserved, match="ring map at 'top' does not fix 1"):
+        hom_build(M2, MP, {"top": "top", "a": "a"}, {"top": half_unit, "a": rings.identity_hom(rings.ZERO)})
+
+
+def test_ring_map_that_is_not_additive_is_rejected(M2):
+    M4 = adjoin_error(rings.Mod(4))
+    squash = rings.table_hom(rings.Mod(4), Z2, [(0, 0), (1, 1), (2, 1), (3, 1)])
+    with pytest.raises(NotAHomomorphism, match="ring map at 'top' fails"):
+        hom_build(M4, M2, {"top": "top", "a": "a"}, {"top": squash, "a": rings.identity_hom(rings.ZERO)})
+
+
+def test_swap_at_the_lower_node_only_breaks_the_square():
+    m = build_meadow(corpus.chain(Z2Z2, rings.identity_hom(Z2Z2), Z2Z2))
+    swap = rings.table_hom(Z2Z2, Z2Z2, [((x, y), (y, x)) for x in (0, 1) for y in (0, 1)])
+    ring_maps = {"n0": rings.identity_hom(Z2Z2), "n1": swap, "a": rings.identity_hom(rings.ZERO)}
+    with pytest.raises(SquareDoesNotCommute) as exc:
+        hom_build(m, m, {n: n for n in m.lattice.nodes}, ring_maps)
+    assert (exc.value.upper, exc.value.lower) == ("n0", "n1")
+    assert exc.value.witness.payload[0] != exc.value.witness.payload[1]
+
+
 # -- injectivity ---------------------------------------------------------------
 
 
@@ -203,6 +229,17 @@ def test_kernel_a_kind(pi1, MP):
 def z6_even_ideal(m):
     evens = frozenset(rings.ring_value(rings.Mod(6), k) for k in (0, 2, 4))
     return MeadowIdeal(m, {"top": FiniteSubset(evens), "a": WholeRing()})
+
+
+def test_degenerate_ideal_specs_normalize(M2, MZ):
+    whole = MeadowIdeal(M2, {"top": FiniteSubset(rings.enumerate_ring(Z2)), "a": WholeRing()})
+    assert whole.spec_at("top") == WholeRing()
+    assert whole.members_by_node("top") == frozenset(rings.enumerate_ring(Z2))
+    zero = MeadowIdeal(M2, {"top": FiniteSubset({rings.zero_value(Z2)})})
+    assert zero.spec_at("top") == ZeroIdeal()
+    assert zero.spec_at("a") == ZeroIdeal()  # nodes left out default to the zero ideal
+    assert MeadowIdeal(MZ, {"top": NZ(1), "a": WholeRing()}).spec_at("top") == WholeRing()
+    assert MeadowIdeal(MZ, {"top": NZ(2), "a": WholeRing()}).spec_at("top") == NZ(2)
 
 
 def test_radical_validates():
