@@ -162,13 +162,16 @@ class DirectedLattice:
 
     def transition(self, i, j) -> rings.RingHom:
         """The composite hom from the ring at i down to the ring at j."""
+        key = (i, j)
+        hom = self._transitions.get(key)
+        if hom is not None:
+            return hom
         self.lattice._check(i, j)
         if i == j:
-            return rings.identity_hom(self.ring_at[i])
-        if not self.lattice.leq(j, i):
+            hom = rings.identity_hom(self.ring_at[i])
+        elif not self.lattice.leq(j, i):
             raise NotComparable(f"{j!r} is not below {i!r}")
-        key = (i, j)
-        if key not in self._transitions:
+        else:
             steps = []
             current = i
             while current != j:
@@ -178,8 +181,9 @@ class DirectedLattice:
                 )
                 steps.append(self.edge_homs[(current, nxt)])
                 current = nxt
-            self._transitions[key] = rings.compose_homs(*steps)
-        return self._transitions[key]
+            hom = rings.compose_homs(*steps)
+        self._transitions[key] = hom
+        return hom
 
     def is_finite(self) -> bool:
         return all(rings.is_finite(d) for d in self.ring_at.values())
@@ -228,30 +232,38 @@ def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> Validat
     if not report.ok:
         return report
 
-    # path independence on every comparable triple i > j > k
+    # path independence on every comparable triple i > j > k: the inputs at
+    # i, and their images at each node below i, are computed once
+    lower_of = {j: [k for k in L.nodes if k != j and L.leq(k, j)] for j in L.nodes}
     for i in L.nodes:
+        inputs = exhaustive = None
+        direct: dict = {}  # k -> images of the inputs under transition(i, k)
         for j in L.nodes:
-            if j == i or not L.leq(j, i):
+            if j == i or not L.leq(j, i) or not lower_of[j]:
                 continue
-            for k in L.nodes:
-                if k == j or not L.leq(k, j):
-                    continue
-                direct = dl.transition(i, k)
-                via = rings.compose_homs(dl.transition(i, j), dl.transition(j, k))
+            if inputs is None:
                 desc = dl.ring_at[i]
                 if rings.is_finite(desc):
-                    inputs = rings.enumerate_ring(desc)
-                    exhaustive = True
+                    inputs, exhaustive = rings.enumerate_ring(desc), True
                 else:
                     inputs, _, exhaustive = rings._validation_inputs(desc, budget, seed)
-                bad = next(
-                    (x for x in inputs if rings.hom_apply(direct, x) != rings.hom_apply(via, x)),
-                    None,
-                )
+            to_j = dl.transition(i, j)
+            at_j = [rings.hom_apply(to_j, x) for x in inputs]
+            for k in lower_of[j]:
+                if k not in direct:
+                    to_k = dl.transition(i, k)
+                    direct[k] = [rings.hom_apply(to_k, x) for x in inputs]
+                step = dl.transition(j, k)
+                bad = None
+                for x, y, want in zip(inputs, at_j, direct[k]):
+                    via = rings.hom_apply(step, y)
+                    if via != want:
+                        bad = (x, via, want)
+                        break
                 report.add(
                     f"path_independence({i}>{j}>{k})",
                     bad is None,
-                    None if bad is None else (bad, rings.hom_apply(via, bad), rings.hom_apply(direct, bad)),
+                    bad,
                     checked=len(inputs),
                     sampled=not exhaustive,
                 )

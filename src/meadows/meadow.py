@@ -214,6 +214,16 @@ class CarrierIndex:
             self._pushes[key] = [local[rings.hom_apply(h, v)] for v in self._values[i]]
         return self._pushes[key]
 
+    def span(self, node) -> range:
+        """Indices of the elements at ``node``."""
+        start = self._start[node]
+        return range(start, start + len(self._values[node]))
+
+    def transition(self, i, k) -> list[int]:
+        """Index of the image at node k of each element at node i, in span order."""
+        start = self._start[k]
+        return [start + p for p in self._push(i, k)]
+
     def _binary(self, ring_op) -> list[list[int]]:
         meet = self.meadow.lattice.meet
         ring_tables: dict = {}

@@ -84,8 +84,12 @@ def hom_build(
 
     Checks, in order: node coverage, lattice hom laws (leq, meets, top and
     bottom), ring hom endpoints and laws, commuting squares against the
-    transition maps, then the elementwise hom equations (exhaustive on
-    finite sources, sampled otherwise).
+    transition maps, then the elementwise hom equations.  When both
+    carriers are finite, the squares and the equations are checked
+    exhaustively on the carrier indexes (``freeze_tables``) with each
+    source element's image computed once; otherwise the squares are
+    checked on each ring's validation inputs and the equations on element
+    pairs drawn from the sample pools.
     """
     L, Ldst = src.lattice, dst.lattice
     for n in L.nodes:
@@ -119,24 +123,68 @@ def hom_build(
                 raise UnitNotPreserved(f"ring map at {z!r} does not fix 1")
             raise NotAHomomorphism(f"ring map at {z!r} fails: {sub.summary()}")
 
-    for z in L.nodes:
-        for z2 in L.nodes:
-            if z2 == z or not L.leq(z2, z):
-                continue
-            down_then_map = rings.compose_homs(src.dl.transition(z, z2), ring_maps[z2])
-            map_then_down = rings.compose_homs(
-                ring_maps[z], dst.dl.transition(lattice_map[z], lattice_map[z2])
-            )
-            desc = src.dl.ring_at[z]
-            if rings.is_finite(desc):
-                inputs = rings.enumerate_ring(desc)
-            else:
-                inputs, _, _ = rings._validation_inputs(desc, budget, seed)
-            for v in inputs:
-                if rings.hom_apply(down_then_map, v) != rings.hom_apply(map_then_down, v):
-                    raise SquareDoesNotCommute(z, z2, v)
-
     f = MeadowHom(src, dst, lattice_map, ring_maps)
+    if src.is_finite() and dst.is_finite():
+        _check_on_index(f)
+    else:
+        _check_on_elements(f, budget, seed)
+    return f
+
+
+def _squares(L: Lattice):
+    """(z, z2) with z2 strictly below z, in the order the squares are checked."""
+    return [(z, z2) for z in L.nodes for z2 in L.nodes if z2 != z and L.leq(z2, z)]
+
+
+def _check_on_index(f: MeadowHom) -> None:
+    """Squares and hom equations of a hom between finite carriers, by table lookup."""
+    src, dst, lattice_map = f.source, f.target, f.lattice_map
+    s_ix, d_ix = src.freeze_tables(), dst.freeze_tables()
+    elems = s_ix.elements
+    img = [
+        d_ix.position[
+            MeadowElement(lattice_map[x.node], rings.hom_apply(f.ring_maps[x.node], x.value))
+        ]
+        for x in elems
+    ]
+    for z, z2 in _squares(src.lattice):
+        down = s_ix.transition(z, z2)
+        image_down = d_ix.transition(lattice_map[z], lattice_map[z2])
+        offset = d_ix.span(lattice_map[z]).start
+        for i, d in zip(s_ix.span(z), down):
+            if img[d] != image_down[img[i] - offset]:
+                raise SquareDoesNotCommute(z, z2, elems[i].value)
+
+    if img[s_ix.position[src.one]] != d_ix.position[dst.one]:
+        raise UnitNotPreserved("1 is not sent to 1")
+    add_s, mul_s, add_d, mul_d = s_ix.add, s_ix.mul, d_ix.add, d_ix.mul
+    for i in range(len(elems)):  # the pairs in itertools.product order
+        add_row, mul_row = add_s[i], mul_s[i]
+        add_img, mul_img = add_d[img[i]], mul_d[img[i]]
+        for j, gj in enumerate(img):
+            if img[add_row[j]] != add_img[gj]:
+                raise NotAHomomorphism(f"additivity fails at ({elems[i]}, {elems[j]})")
+            if img[mul_row[j]] != mul_img[gj]:
+                raise NotAHomomorphism(f"multiplicativity fails at ({elems[i]}, {elems[j]})")
+
+
+def _check_on_elements(f: MeadowHom, budget: int, seed: int) -> None:
+    """Squares and hom equations element by element; sampled on infinite carriers."""
+    src, dst, lattice_map, ring_maps = f.source, f.target, f.lattice_map, f.ring_maps
+    for z, z2 in _squares(src.lattice):
+        down_then_map = rings.compose_homs(src.dl.transition(z, z2), ring_maps[z2])
+        map_then_down = rings.compose_homs(
+            ring_maps[z], dst.dl.transition(lattice_map[z], lattice_map[z2])
+        )
+        desc = src.dl.ring_at[z]
+        if rings.is_finite(desc):
+            inputs = rings.enumerate_ring(desc)
+        else:
+            inputs, _, _ = rings._validation_inputs(desc, budget, seed)
+        for v in inputs:
+            if rings.hom_apply(down_then_map, v) != rings.hom_apply(map_then_down, v):
+                raise SquareDoesNotCommute(z, z2, v)
+
     if f.apply(src.one) != dst.one:
         raise UnitNotPreserved("1 is not sent to 1")
     pairs, _exhaustive = _source_pairs(src, budget)
@@ -145,7 +193,6 @@ def hom_build(
             raise NotAHomomorphism(f"additivity fails at ({x}, {y})")
         if f.apply(src.mul(x, y)) != dst.mul(f.apply(x), f.apply(y)):
             raise NotAHomomorphism(f"multiplicativity fails at ({x}, {y})")
-    return f
 
 
 def identity_hom(m: PreMeadow) -> MeadowHom:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -477,6 +477,14 @@ class PairRule(HomRule):
 @dataclass(frozen=True)
 class TableRule(HomRule):
     graph: tuple[tuple[RingValue, RingValue], ...]
+    # input -> output; on duplicate inputs the first graph entry wins
+    lookup: dict = field(init=False, compare=False, hash=False, repr=False)
+
+    def __post_init__(self):
+        lookup: dict = {}
+        for vin, vout in self.graph:
+            lookup.setdefault(vin, vout)
+        object.__setattr__(self, "lookup", lookup)
 
 
 @dataclass(frozen=True)
@@ -604,10 +612,10 @@ def hom_apply(h: RingHom, v: RingValue) -> RingValue:
     if isinstance(rule, PairRule):
         return RingValue(h.target, tuple(hom_apply(c, v) for c in rule.components))
     if isinstance(rule, TableRule):
-        for vin, vout in rule.graph:
-            if vin == v:
-                return vout
-        raise TableIncomplete(f"no table entry for {v}")
+        try:
+            return rule.lookup[v]
+        except KeyError:
+            raise TableIncomplete(f"no table entry for {v}") from None
     if isinstance(rule, ComposeRule):
         out = v
         for stage in rule.stages:
@@ -639,8 +647,13 @@ def hom_validate(h: RingHom, budget: int = 64, seed: int = 0) -> ValidationRepor
     elems, pairs, exhaustive = _validation_inputs(h.source, budget, seed)
     report = ValidationReport(subject=str(h))
 
+    images: dict = {}
+
     def image(v):
-        return hom_apply(h, v)
+        # memoised lazily, so a missing table entry fails at the same pair
+        if v not in images:
+            images[v] = hom_apply(h, v)
+        return images[v]
 
     try:
         ok = image(zero_value(h.source)) == zero_value(h.target)

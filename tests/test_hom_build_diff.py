@@ -1,0 +1,259 @@
+"""hom_build on finite meadows against an element-by-element reference.
+
+``reference_hom_build`` is the element-by-element algorithm: commuting
+squares by composing ring homs and applying them to every ring element,
+then f(1) = 1 and the hom equations on every element pair through
+``MeadowHom.apply`` and the meadows' own ``add``/``mul``, on meadows whose
+tables were never frozen.  ``TableRule`` homs are applied by a linear scan
+of their graph.  Every candidate hom is built by both; they must agree on
+the hom or on the exception class and message.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import random
+
+import pytest
+
+from meadows import rings
+from meadows.enumeration import enumerate_meadow_hom_maps, enumerate_ring_homs
+from meadows.errors import (
+    MeadowError,
+    NotAHomomorphism,
+    NotLatticeHom,
+    SquareDoesNotCommute,
+    TargetMismatch,
+    UnitNotPreserved,
+)
+from meadows.meadow import Meadow, MeadowElement
+from meadows.morphisms import hom_build
+from meadows.report import ValidationReport
+
+import corpus
+
+MAX_SIZE = 30
+
+
+def scan_apply(h: rings.RingHom, v: rings.RingValue) -> rings.RingValue:
+    rule = h.rule
+    if isinstance(rule, rings.TableRule):
+        for vin, vout in rule.graph:
+            if vin == v:
+                return vout
+        raise rings.TableIncomplete(f"no table entry for {v}")
+    if isinstance(rule, rings.ComposeRule):
+        for stage in rule.stages:
+            v = scan_apply(stage, v)
+        return v
+    return rings.hom_apply(h, v)
+
+
+def reference_hom_build(src, dst, lattice_map, ring_maps, budget=64, seed=0):
+    """(lattice_map, ring_maps) of the hom, checked element by element."""
+    L, Ldst = src.lattice, dst.lattice
+    for n in L.nodes:
+        if n not in lattice_map:
+            raise NotLatticeHom(f"node {n!r} has no image")
+        if n not in ring_maps:
+            raise NotLatticeHom(f"node {n!r} has no ring map")
+        if lattice_map[n] not in Ldst.nodes:
+            raise NotLatticeHom(f"{n!r} maps to unknown node {lattice_map[n]!r}")
+    for a, b in itertools.product(L.nodes, repeat=2):
+        if L.leq(a, b) and not Ldst.leq(lattice_map[a], lattice_map[b]):
+            raise NotLatticeHom(f"order not preserved on ({a!r}, {b!r})")
+        got = lattice_map[L.meet(a, b)]
+        want = Ldst.meet(lattice_map[a], lattice_map[b])
+        if got != want:
+            raise NotLatticeHom(f"meet not preserved on ({a!r}, {b!r}): {got!r} != {want!r}")
+    if lattice_map[L.top] != Ldst.top:
+        raise NotLatticeHom("top must map to top")
+    if lattice_map[L.bottom] != Ldst.bottom:
+        raise NotLatticeHom("bottom must map to bottom")
+    for z in L.nodes:
+        h = ring_maps[z]
+        if h.source != src.dl.ring_at[z] or h.target != dst.dl.ring_at[lattice_map[z]]:
+            raise TargetMismatch(f"ring map at {z!r} has endpoints {h.source} -> {h.target}")
+        sub = rings.hom_validate(h, budget=budget, seed=seed)
+        if not sub.ok:
+            names = [c.name for c in sub.failures()]
+            if "preserves_one" in names:
+                raise UnitNotPreserved(f"ring map at {z!r} does not fix 1")
+            raise NotAHomomorphism(f"ring map at {z!r} fails: {sub.summary()}")
+    for z in L.nodes:
+        for z2 in L.nodes:
+            if z2 == z or not L.leq(z2, z):
+                continue
+            down_then_map = rings.compose_homs(src.dl.transition(z, z2), ring_maps[z2])
+            map_then_down = rings.compose_homs(
+                ring_maps[z], dst.dl.transition(lattice_map[z], lattice_map[z2])
+            )
+            for v in rings.enumerate_ring(src.dl.ring_at[z]):
+                if scan_apply(down_then_map, v) != scan_apply(map_then_down, v):
+                    raise SquareDoesNotCommute(z, z2, v)
+
+    def apply(x):
+        return MeadowElement(lattice_map[x.node], scan_apply(ring_maps[x.node], x.value))
+
+    if apply(src.one) != dst.one:
+        raise UnitNotPreserved("1 is not sent to 1")
+    elems = src.elements()
+    for x, y in itertools.product(elems, elems):
+        if apply(src.add(x, y)) != dst.add(apply(x), apply(y)):
+            raise NotAHomomorphism(f"additivity fails at ({x}, {y})")
+        if apply(src.mul(x, y)) != dst.mul(apply(x), apply(y)):
+            raise NotAHomomorphism(f"multiplicativity fails at ({x}, {y})")
+    return dict(lattice_map), dict(ring_maps)
+
+
+def unfrozen(m: Meadow) -> Meadow:
+    return Meadow(m.dl, m.status)
+
+
+def outcome(build, src, dst, lattice_map, ring_maps):
+    try:
+        got = build(src, dst, lattice_map, ring_maps)
+    except MeadowError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, tuple):
+        return got
+    return got.lattice_map, got.ring_maps
+
+
+def lift(src, dst, mapping):
+    """(lattice_map, ring_maps) of a carrier map, or None if a component splits."""
+    by_node: dict = {}
+    for x in src.elements():
+        by_node.setdefault(x.node, []).append(x)
+    lattice_map, ring_maps = {}, {}
+    for z, elems in by_node.items():
+        images = {mapping[x].node for x in elems}
+        if len(images) != 1:
+            return None
+        lattice_map[z] = images.pop()
+        ring_maps[z] = rings.table_hom(
+            src.dl.ring_at[z],
+            dst.dl.ring_at[lattice_map[z]],
+            [(x.value, mapping[x].value) for x in elems],
+        )
+    return lattice_map, ring_maps
+
+
+def changed_image(src, dst, mapping, rng, x=None):
+    """The map with x's image (a random x's by default) moved within its node, if it can be."""
+    if x is None:
+        x = rng.choice(src.elements())
+    others = [y for y in dst.elements() if y.node == mapping[x].node and y != mapping[x]]
+    if not others:
+        return None
+    return {**mapping, x: rng.choice(others)}
+
+
+def candidates(src, dst, seed):
+    """Candidate (lattice_map, ring_maps) for hom_build between two meadows.
+
+    Every hom map, each with one image changed, each with one node's ring
+    map replaced by another of the first three unital ring homs, and each
+    with one node sent elsewhere with the first ring hom there.
+    """
+    rng = random.Random(seed)
+    seen = set()
+    for lattice_map, ring_maps in _perturbed(src, dst, rng):
+        key = (frozenset(lattice_map.items()), frozenset(ring_maps.items()))
+        if key not in seen:
+            seen.add(key)
+            yield lattice_map, ring_maps
+
+
+ring_homs = functools.lru_cache(maxsize=None)(enumerate_ring_homs)
+
+
+def _perturbed(src, dst, rng):
+    for mapping in enumerate_meadow_hom_maps(src, dst):
+        lattice_map, ring_maps = lift(src, dst, mapping)
+        yield lattice_map, ring_maps
+        moved = changed_image(src, dst, mapping, rng)
+        if moved is not None and (lifted := lift(src, dst, moved)) is not None:
+            yield lifted
+        for z in src.lattice.nodes:
+            desc = src.dl.ring_at[z]
+            for g in ring_homs(desc, dst.dl.ring_at[lattice_map[z]])[:3]:
+                if g != ring_maps[z]:
+                    yield lattice_map, {**ring_maps, z: g}
+            for w in dst.lattice.nodes:
+                if w != lattice_map[z]:
+                    homs = ring_homs(desc, dst.dl.ring_at[w])
+                    if homs:
+                        yield {**lattice_map, z: w}, {**ring_maps, z: homs[0]}
+
+
+def small_meadows() -> dict:
+    return {name: m for name, m in corpus.finite_meadows() if m.size() <= MAX_SIZE}
+
+
+def compare(src, dst, cases) -> set:
+    """Build every case both ways; "hom", or each exception class and message head seen."""
+    ref_src, ref_dst = unfrozen(src), unfrozen(dst)
+    kinds = set()
+    for lattice_map, ring_maps in cases:
+        want = outcome(reference_hom_build, ref_src, ref_dst, lattice_map, ring_maps)
+        got = outcome(hom_build, src, dst, lattice_map, ring_maps)
+        assert got == want, lattice_map
+        if isinstance(want[0], type):
+            kinds |= {want[0], want[1].split(" at ")[0]}
+        else:
+            kinds.add("hom")
+    return kinds
+
+
+@pytest.mark.parametrize("src_name", sorted(small_meadows()))
+def test_hom_build_matches_reference(src_name):
+    meadows = small_meadows()
+    src = meadows[src_name]
+    for k, dst in enumerate(meadows.values()):
+        compare(src, dst, candidates(src, dst, seed=k))
+
+
+def test_candidates_reach_the_square_check():
+    m = small_meadows()["product_z2_z2"]
+    kinds = compare(m, m, candidates(m, m, seed=0))
+    assert {"hom", SquareDoesNotCommute, NotAHomomorphism, NotLatticeHom} <= kinds
+
+
+def passing_report(h, budget=64, seed=0):
+    return ValidationReport(subject=str(h))
+
+
+@pytest.mark.parametrize("src_name", ["z4", "z6", "z2xz2", "chain_z4_z2", "z2_diamond"])
+def test_elementwise_checks_match_reference_past_the_ring_checks(src_name, monkeypatch):
+    # On finite meadows the hom equations follow from the node, ring and
+    # square checks, so a non-hom reaches them only with the ring checks off.
+    monkeypatch.setattr(rings, "hom_validate", passing_report)
+    meadows = small_meadows()
+    src = meadows[src_name]
+    rng = random.Random(src_name)
+    kinds = set()
+    for dst in meadows.values():
+        cases = []
+        for mapping in enumerate_meadow_hom_maps(src, dst):
+            for x in [src.one] + [rng.choice(src.elements()) for _ in range(3)]:
+                moved = changed_image(src, dst, mapping, rng, x)
+                if moved is not None and (lifted := lift(src, dst, moved)) is not None:
+                    cases.append(lifted)
+        kinds |= compare(src, dst, cases)
+    assert "1 is not sent to 1" in kinds
+    assert {"additivity fails", "multiplicativity fails"} & kinds
+
+
+def test_multiplicativity_witness_matches_reference(monkeypatch):
+    # x -> x0 + x1 + x2 on Z2^3 is additive and fixes 1 but is not multiplicative
+    monkeypatch.setattr(rings, "hom_validate", passing_report)
+    meadows = small_meadows()
+    src, dst = meadows["z2cube"], meadows["z2"]
+    mapping = {
+        x: dst.a if x.node == "a" else dst.element("top", sum(c.payload for c in x.value.payload))
+        for x in src.elements()
+    }
+    kinds = compare(src, dst, [lift(src, dst, mapping)])
+    assert "multiplicativity fails" in kinds

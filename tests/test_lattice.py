@@ -262,3 +262,84 @@ def test_acyclic_orders_match_networkx(case):
 @given(orders(acyclic=False))
 def test_cyclic_orders_match_brute_force(case):
     _check_against_oracle(*case)
+
+
+# -- cached transitions and path independence against the per-triple reference --
+
+
+def test_transition_answers_repeat_calls_from_the_cache():
+    dl = corpus.chain_z_q()
+    assert dl.transition("n0", "n1") is dl.transition("n0", "n1")
+    assert dl.transition("n0", "n0") is dl.transition("n0", "n0")
+    assert dl.transition("n0", "n0") == rings.identity_hom(rings.Z)
+
+
+def test_transition_still_rejects_unknown_and_incomparable_nodes():
+    dl = corpus.two_q_ambiguous()
+    dl.transition("z", "q1"), dl.transition("q1", "q1")
+    for _ in range(2):
+        with pytest.raises(UnknownNode):
+            dl.transition("z", "nowhere")
+        with pytest.raises(UnknownNode):
+            dl.transition("nowhere", "nowhere")
+        with pytest.raises(NotComparable):
+            dl.transition("q1", "q2")
+        with pytest.raises(NotComparable):
+            dl.transition("q1", "z")
+
+
+def reference_path_checks(dl, budget=64, seed=0):
+    """Path independence triple by triple: inputs, composite and images redone each time."""
+    from meadows.report import ValidationReport
+
+    report = ValidationReport(subject="directed lattice")
+    L = dl.lattice
+    for i in L.nodes:
+        for j in L.nodes:
+            if j == i or not L.leq(j, i):
+                continue
+            for k in L.nodes:
+                if k == j or not L.leq(k, j):
+                    continue
+                direct = dl.transition(i, k)
+                via = rings.compose_homs(dl.transition(i, j), dl.transition(j, k))
+                desc = dl.ring_at[i]
+                if rings.is_finite(desc):
+                    inputs, exhaustive = rings.enumerate_ring(desc), True
+                else:
+                    inputs, _, exhaustive = rings._validation_inputs(desc, budget, seed)
+                bad = next(
+                    (x for x in inputs if rings.hom_apply(direct, x) != rings.hom_apply(via, x)),
+                    None,
+                )
+                report.add(
+                    f"path_independence({i}>{j}>{k})",
+                    bad is None,
+                    None if bad is None else (bad, rings.hom_apply(via, bad), rings.hom_apply(direct, bad)),
+                    checked=len(inputs),
+                    sampled=not exhaustive,
+                )
+    return report
+
+
+def _path_lattices():
+    from meadows.latfile import load_lattice_file
+
+    out = list(corpus.valid_finite_lattices())
+    out += [
+        ("broken_square_diamond", corpus.broken_square_diamond()),
+        ("chain_z_q", corpus.chain_z_q()),
+        ("two_q_ambiguous", corpus.two_q_ambiguous()),
+        ("two_z3_ambiguous", corpus.two_z3_ambiguous()),
+        ("chain_z2_x12", corpus.chain(*([rings.Mod(2), rings.identity_hom(rings.Mod(2))] * 11 + [rings.Mod(2)]))),
+    ]
+    for path in ("lattices/chain_z_q.json", "lattices/example_4_14.json", "lattices/glue_zp_towers.json"):
+        out.append((path, load_lattice_file(path)))
+    return out
+
+
+@pytest.mark.parametrize("name,dl", _path_lattices(), ids=lambda x: x if isinstance(x, str) else "")
+def test_path_independence_checks_match_the_reference(name, dl):
+    for budget, seed in ((64, 0), (8, 5)):
+        got = [c for c in dl_validate(dl, budget, seed).checks if c.name.startswith("path_")]
+        assert got == reference_path_checks(dl, budget, seed).checks

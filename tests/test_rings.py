@@ -314,3 +314,123 @@ def test_is_field():
     assert rings.is_field(rings.Q)
     assert not rings.is_field(rings.Z)
     assert not rings.is_field(rings.Product((Z2, Z2)))
+
+
+# -- table lookup and memoised validation against linear-scan references -------
+
+
+def scan_apply(h, x):
+    """hom_apply with tables read by a linear scan of their graph."""
+    if isinstance(h.rule, rings.TableRule):
+        for vin, vout in h.rule.graph:
+            if vin == x:
+                return vout
+        raise TableIncomplete(f"no table entry for {x}")
+    if isinstance(h.rule, rings.ComposeRule):
+        for stage in h.rule.stages:
+            x = scan_apply(stage, x)
+        return x
+    return rings.hom_apply(h, x)
+
+
+def reference_hom_validate(h, budget=64, seed=0):
+    """hom_validate with every image recomputed by scan_apply."""
+    elems, pairs, exhaustive = rings._validation_inputs(h.source, budget, seed)
+    report = rings.ValidationReport(subject=str(h))
+    zero, one = rings.zero_value(h.source), rings.one_value(h.source)
+    try:
+        ok = scan_apply(h, zero) == rings.zero_value(h.target)
+        report.add("preserves_zero", ok, None if ok else (zero,), checked=1)
+        ok = scan_apply(h, one) == rings.one_value(h.target)
+        report.add("preserves_one", ok, None if ok else (one,), checked=1)
+        for name, op in (("additive", rings.add), ("multiplicative", rings.mul)):
+            bad = next(
+                (
+                    (x, y)
+                    for x, y in pairs
+                    if scan_apply(h, op(x, y)) != op(scan_apply(h, x), scan_apply(h, y))
+                ),
+                None,
+            )
+            report.add(name, bad is None, bad, checked=len(pairs), sampled=not exhaustive)
+    except TableIncomplete as exc:
+        report.add("table_covers_source", False, (str(exc),))
+    return report
+
+
+def test_table_duplicate_inputs_first_sorted_entry_wins():
+    h = rings.table_hom(Z3, Z3, [(1, 2), (0, 0), (1, 1), (2, 1)])
+    assert [(i.payload, o.payload) for i, o in h.rule.graph][:3] == [(0, 0), (1, 2), (1, 1)]
+    assert rings.hom_apply(h, v(Z3, 1)) == v(Z3, 2) == scan_apply(h, v(Z3, 1))
+    unsorted = rings.RingHom(Z2, Z2, rings.TableRule(((v(Z2, 1), v(Z2, 0)), (v(Z2, 1), v(Z2, 1)))))
+    assert rings.hom_apply(unsorted, v(Z2, 1)) == v(Z2, 0)
+
+
+def test_table_missing_entry_message():
+    h = rings.table_hom(Z3, Z3, [(0, 0), (1, 1)])
+    with pytest.raises(TableIncomplete, match="^no table entry for 2$"):
+        rings.hom_apply(h, v(Z3, 2))
+
+
+def test_table_rule_equality_hash_and_repr_ignore_the_lookup():
+    a = rings.table_hom(Z2, Z2, [(0, 0), (1, 1)])
+    b = rings.table_hom(Z2, Z2, [(1, 1), (0, 0)])
+    assert a == b and hash(a) == hash(b)
+    assert "lookup" not in repr(a.rule)
+    assert a.rule.lookup == dict(a.rule.graph)
+
+
+VALIDATE_CASES = {
+    "identity_z6": rings.identity_hom(Z6),
+    "z6_to_z3": rings.mod_to_mod(6, 3),
+    "swap_z2": rings.table_hom(Z2, Z2, [(0, 1), (1, 0)]),
+    "squash_z4": rings.table_hom(rings.Mod(4), Z2, [(0, 0), (1, 1), (2, 1), (3, 1)]),
+    "missing_entry": rings.table_hom(Z3, Z3, [(0, 0), (1, 1)]),
+    "additivity_fails_before_missing": rings.table_hom(Z3, Z3, [(0, 1), (1, 1)]),
+    "product_swap": rings.table_hom(
+        rings.Product((Z2, Z2)),
+        rings.Product((Z2, Z2)),
+        [((x, y), (y, x)) for x in (0, 1) for y in (0, 1)],
+    ),
+    "z_to_z2_table": rings.table_hom(rings.Z, Z2, [(0, 0), (1, 1), (-1, 1)]),
+    "reduce_z6": rings.reduce_mod(6),
+    "include_q": rings.include_rationals(),
+    "eval_at_2": rings.poly_eval_at(QX, 2),
+    "compose_tables": rings.compose_homs(
+        rings.mod_to_mod(6, 2), rings.table_hom(Z2, Z2, [(0, 0), (1, 1)])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
+def test_hom_validate_matches_the_scanning_reference(name):
+    h = VALIDATE_CASES[name]
+    for budget, seed in ((64, 0), (16, 3)):
+        assert rings.hom_validate(h, budget, seed) == reference_hom_validate(h, budget, seed)
+
+
+def test_hom_validate_reports_of_the_table_cases():
+    missing = rings.hom_validate(VALIDATE_CASES["missing_entry"])
+    assert [c.name for c in missing.checks][-1] == "table_covers_source"
+    assert missing.checks[-1].witness == ("no table entry for 2",)
+    early = rings.hom_validate(VALIDATE_CASES["additivity_fails_before_missing"])
+    assert [(c.name, c.passed) for c in early.checks] == [
+        ("preserves_zero", False),
+        ("preserves_one", True),
+        ("additive", False),
+        ("table_covers_source", False),
+    ]
+    assert early.checks[2].witness == (v(Z3, 0), v(Z3, 0))
+
+
+def test_hom_validate_applies_the_hom_once_per_input(monkeypatch):
+    calls = []
+    real = rings.hom_apply
+
+    def counting(h, x):
+        calls.append(x)
+        return real(h, x)
+
+    monkeypatch.setattr(rings, "hom_apply", counting)
+    assert rings.hom_validate(rings.mod_to_mod(6, 3)).ok
+    assert sorted(x.payload for x in calls) == list(range(6))
