@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from . import rings
-from .meadow import PreMeadow, index_table
+from .meadow import PreMeadow
 from .morphisms import FiniteSubset, MeadowIdeal, WholeRing, ideal_validate
 
 
@@ -60,20 +60,11 @@ def _search_maps(n_src, n_dst, add_src, mul_src, add_dst, mul_dst, seeds):
 
 def enumerate_ring_homs(src: rings.RingDescriptor, dst: rings.RingDescriptor) -> list[rings.RingHom]:
     """Every unital ring hom between two finite rings, as table homs."""
-    src_elems = rings.enumerate_ring(src)
-    dst_elems = rings.enumerate_ring(dst)
-    seeds = {src_elems.index(rings.one_value(src)): dst_elems.index(rings.one_value(dst))}
-    maps = _search_maps(
-        len(src_elems),
-        len(dst_elems),
-        index_table(src_elems, rings.add),
-        index_table(src_elems, rings.mul),
-        index_table(dst_elems, rings.add),
-        index_table(dst_elems, rings.mul),
-        seeds,
-    )
+    s, d = rings.FiniteTables(src), rings.FiniteTables(dst)
+    seeds = {s.position[rings.one_value(src)]: d.position[rings.one_value(dst)]}
+    maps = _search_maps(len(s.elements), len(d.elements), s.add, s.mul, d.add, d.mul, seeds)
     return [
-        rings.table_hom(src, dst, [(src_elems[i], dst_elems[j]) for i, j in m.items()])
+        rings.table_hom(src, dst, [(s.elements[i], d.elements[j]) for i, j in m.items()])
         for m in maps
     ]
 

@@ -161,28 +161,35 @@ class DirectedLattice:
         self._passed: dict[tuple, ValidationReport] = {}  # (budget, seed) -> passing report
 
     def transition(self, i, j) -> rings.RingHom:
-        """The composite hom from the ring at i down to the ring at j."""
-        key = (i, j)
-        hom = self._transitions.get(key)
+        """The composite hom from the ring at i down to the ring at j.
+
+        The path follows, from each node, its first cover lower (by
+        ``node_key``) above j; a transition is the first edge composed with
+        the cached transition from that cover, and every transition computed
+        on the way down is cached.
+        """
+        hom = self._transitions.get((i, j))
         if hom is not None:
             return hom
         self.lattice._check(i, j)
         if i == j:
-            hom = rings.identity_hom(self.ring_at[i])
-        elif not self.lattice.leq(j, i):
+            hom = self._transitions[(i, j)] = rings.identity_hom(self.ring_at[i])
+            return hom
+        if not self.lattice.leq(j, i):
             raise NotComparable(f"{j!r} is not below {i!r}")
-        else:
-            steps = []
-            current = i
-            while current != j:
-                nxt = min(
-                    (lo for lo in self.lattice.cover_lowers(current) if self.lattice.leq(j, lo)),
-                    key=node_key,
-                )
-                steps.append(self.edge_homs[(current, nxt)])
-                current = nxt
-            hom = rings.compose_homs(*steps)
-        self._transitions[key] = hom
+        path = []  # (node, next) steps down to j, or to the first node with a cached transition
+        current = i
+        while current != j and (current, j) not in self._transitions:
+            nxt = min(
+                (lo for lo in self.lattice.cover_lowers(current) if self.lattice.leq(j, lo)),
+                key=node_key,
+            )
+            path.append((current, nxt))
+            current = nxt
+        for current, nxt in reversed(path):
+            edge = self.edge_homs[(current, nxt)]
+            hom = rings.compose_homs(edge) if nxt == j else rings.compose_homs(edge, self._transitions[(nxt, j)])
+            self._transitions[(current, j)] = hom
         return hom
 
     def is_finite(self) -> bool:

@@ -177,21 +177,15 @@ class PreMeadow:
         return {x: elems[k] for x, k in zip(elems, table)}
 
 
-def index_table(values, op) -> list[list[int]]:
-    """A binary operation on a finite list of distinct values, by position."""
-    position = {v: i for i, v in enumerate(values)}
-    return [[position[op(x, y)] for y in values] for x in values]
-
-
 class CarrierIndex:
     """Index view of a finite carrier: ``elements[i]`` is element i.
 
     ``add`` and ``mul`` are N x N tables of element indices, ``neg``,
     ``zero_of`` and ``inverse`` are length-N lists (``inverse`` needs a
     meadow).  Each table is built the first time it is read.  The binary
-    tables are assembled from one ring table per meet node and the
-    transition maps as index lists, so every entry is what the element
-    operation returns.
+    tables are assembled from the ring tables (``rings.FiniteTables``, one
+    per distinct ring) at the meet nodes and the transition maps as index
+    lists, so every entry is what the element operation returns.
     """
 
     def __init__(self, m: PreMeadow):
@@ -203,14 +197,20 @@ class CarrierIndex:
         for i, x in enumerate(self.elements):
             self._start.setdefault(x.node, i)
             self._values.setdefault(x.node, []).append(x.value)
-        self._local = {n: {v: k for k, v in enumerate(vs)} for n, vs in self._values.items()}
+        tables: dict = {}  # ring -> its FiniteTables, shared by the nodes carrying it
+        self._rings = {}  # node -> the FiniteTables of its ring
+        for n in self._values:
+            desc = m.dl.ring_at[n]
+            if desc not in tables:
+                tables[desc] = rings.FiniteTables(desc)
+            self._rings[n] = tables[desc]
         self._pushes: dict = {}
 
     def _push(self, i, k) -> list[int]:
         """Local index at node k of the image of each value at node i."""
         key = (i, k)
         if key not in self._pushes:
-            h, local = self.meadow.dl.transition(i, k), self._local[k]
+            h, local = self.meadow.dl.transition(i, k), self._rings[k].position
             self._pushes[key] = [local[rings.hom_apply(h, v)] for v in self._values[i]]
         return self._pushes[key]
 
@@ -224,17 +224,15 @@ class CarrierIndex:
         start = self._start[k]
         return [start + p for p in self._push(i, k)]
 
-    def _binary(self, ring_op) -> list[list[int]]:
+    def _binary(self, op: str) -> list[list[int]]:
         meet = self.meadow.lattice.meet
-        ring_tables: dict = {}
         rows = []
         for i in self._values:
             blocks = []
             for j in self._values:
                 k = meet(i, j)
-                if k not in ring_tables:
-                    ring_tables[k] = index_table(self._values[k], ring_op)
-                blocks.append((self._push(i, k), self._push(j, k), ring_tables[k], self._start[k]))
+                table = getattr(self._rings[k], op)
+                blocks.append((self._push(i, k), self._push(j, k), table, self._start[k]))
             for a in range(len(self._values[i])):
                 row = []
                 for left, right, table, start in blocks:
@@ -244,15 +242,15 @@ class CarrierIndex:
         return rows
 
     def _unary(self, ring_fn) -> list[int]:
-        return [self._start[x.node] + self._local[x.node][ring_fn(x.value)] for x in self.elements]
+        return [self._start[x.node] + self._rings[x.node].position[ring_fn(x.value)] for x in self.elements]
 
     @functools.cached_property
     def add(self) -> list[list[int]]:
-        return self._binary(rings.add)
+        return self._binary("add")
 
     @functools.cached_property
     def mul(self) -> list[list[int]]:
-        return self._binary(rings.mul)
+        return self._binary("mul")
 
     @functools.cached_property
     def neg(self) -> list[int]:

@@ -7,7 +7,10 @@ be applied and validated exactly.  Everything is immutable.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -144,6 +147,22 @@ class RingValue:
     ring: RingDescriptor
     payload: object
 
+    _hash = None  # hash((ring, payload)), stored on first use
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ring == other.ring and self.payload == other.payload
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.ring, self.payload))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def __str__(self):
         return format_value(self)
 
@@ -220,7 +239,7 @@ def from_int(desc: RingDescriptor, m: int) -> RingValue:
 
 def _require_same(desc: RingDescriptor, *values: RingValue) -> None:
     for v in values:
-        if not isinstance(v, RingValue) or v.ring != desc:
+        if not isinstance(v, RingValue) or (v.ring is not desc and v.ring != desc):
             raise DescriptorMismatch(f"{v} does not belong to {desc}")
 
 
@@ -302,8 +321,6 @@ def is_unit(v: RingValue) -> bool:
     if isinstance(desc, Rationals):
         return v.payload != 0
     if isinstance(desc, Mod):
-        import math
-
         return math.gcd(v.payload, desc.n) == 1
     if isinstance(desc, Poly):
         # field coefficients, so units are exactly the nonzero constants
@@ -341,6 +358,53 @@ def enumerate_ring(desc: RingDescriptor) -> list[RingValue]:
         pools = [enumerate_ring(f) for f in desc.factors]
         return [RingValue(desc, combo) for combo in itertools.product(*pools)]
     raise InfiniteCarrier(f"{desc} cannot be enumerated")
+
+
+class FiniteTables:
+    """A finite ring numbered 0..N-1 in ``enumerate_ring`` order.
+
+    ``elements[i]`` is element i and ``position`` maps each element back to
+    i; ``add`` and ``mul`` are N x N tables of element indices, each built
+    the first time it is read.  A product's order is mixed radix with the
+    last factor fastest, so its tables combine the factor tables with
+    integer arithmetic alone.
+    """
+
+    def __init__(self, desc: RingDescriptor):
+        self.desc = desc
+        if isinstance(desc, Product):
+            self._factors = [FiniteTables(f) for f in desc.factors]
+            pools = [f.elements for f in self._factors]
+            self.elements = [RingValue(desc, combo) for combo in itertools.product(*pools)]
+        else:
+            self._factors = []
+            self.elements = enumerate_ring(desc)
+
+    @functools.cached_property
+    def position(self) -> dict:
+        return {v: i for i, v in enumerate(self.elements)}
+
+    @functools.cached_property
+    def add(self) -> list[list[int]]:
+        return self._table("add")
+
+    @functools.cached_property
+    def mul(self) -> list[list[int]]:
+        return self._table("mul")
+
+    def _table(self, name: str) -> list[list[int]]:
+        if isinstance(self.desc, Mod):
+            n, op = self.desc.n, getattr(operator, name)
+            return [[op(i, j) % n for j in range(n)] for i in range(n)]
+        table = [[0]]  # the zero ring, and the empty product
+        for f in self._factors:
+            q = len(f.elements)
+            table = [
+                [x + y for x in shifted for y in row]
+                for shifted in ([x * q for x in left] for left in table)
+                for row in getattr(f, name)
+            ]
+        return table
 
 
 def is_field(desc: RingDescriptor) -> bool:
@@ -589,7 +653,7 @@ def collapse_hom(source: RingDescriptor) -> RingHom:
 
 
 def hom_apply(h: RingHom, v: RingValue) -> RingValue:
-    if not isinstance(v, RingValue) or v.ring != h.source:
+    if not isinstance(v, RingValue) or (v.ring is not h.source and v.ring != h.source):
         raise DescriptorMismatch(f"{v} is not in the source of {h}")
     rule = h.rule
     if isinstance(rule, Identity):
@@ -627,10 +691,7 @@ def hom_apply(h: RingHom, v: RingValue) -> RingValue:
 
 
 def _validation_inputs(desc: RingDescriptor, budget: int, seed: int):
-    """(elements, pairs, exhaustive?) to probe a hom's source with."""
-    if is_finite(desc):
-        elems = enumerate_ring(desc)
-        return elems, list(itertools.product(elems, elems)), True
+    """(elements, pairs, exhaustive?) to probe an infinite ring with: a seeded sample."""
     gens = [zero_value(desc), one_value(desc), neg(one_value(desc))]
     if isinstance(desc, Poly):
         gens.append(ring_value(desc, [zero_value(desc.base).payload, one_value(desc.base).payload]))
@@ -642,8 +703,29 @@ def _validation_inputs(desc: RingDescriptor, budget: int, seed: int):
     return elems, pairs, False
 
 
+class _OffTarget(Exception):
+    """An image that is not an element of the hom's finite target."""
+
+
 def hom_validate(h: RingHom, budget: int = 64, seed: int = 0) -> ValidationReport:
-    """Check 0, 1, + and * preservation; violations become report content."""
+    """Check 0, 1, + and * preservation; violations become report content.
+
+    A finite source is checked on every pair, on its ``FiniteTables``: the
+    hom is applied once per source element, and when the target is finite
+    and no larger than the source each equation is a lookup in both rings'
+    tables (a larger target's tables would cost more than the pairs they
+    serve, so its images are added and multiplied as values).  An infinite
+    source is probed with the seeded sample of ``_validation_inputs``
+    (``budget`` random elements and pairs), element by element.
+    """
+    if is_finite(h.source):
+        src = FiniteTables(h.source)
+        if is_finite(h.target) and ring_size(h.target) <= len(src.elements):
+            try:
+                return _validate_on_index(h, src, src if h.target == h.source else FiniteTables(h.target))
+            except _OffTarget:
+                pass
+        return _validate_on_index(h, src, None)
     elems, pairs, exhaustive = _validation_inputs(h.source, budget, seed)
     report = ValidationReport(subject=str(h))
 
@@ -677,6 +759,61 @@ def hom_validate(h: RingHom, budget: int = 64, seed: int = 0) -> ValidationRepor
     return report
 
 
+def _validate_on_index(h: RingHom, src: FiniteTables, dst: FiniteTables | None) -> ValidationReport:
+    """hom_validate on a finite source, pairs in ``itertools.product`` order.
+
+    Images are indices into ``dst`` when it is given (an image outside it
+    raises ``_OffTarget``), else target values combined with ``add``/``mul``.
+    Each image is computed on first use, in the order the element-by-element
+    check asks for them, so a missing table entry fails at the same pair.
+    """
+    elems = src.elements
+    if dst is None:
+        image_of = functools.partial(hom_apply, h)
+        zero_t, one_t = zero_value(h.target), one_value(h.target)
+    else:
+
+        def image_of(x):
+            k = dst.position.get(hom_apply(h, x))
+            if k is None:
+                raise _OffTarget
+            return k
+
+        zero_t, one_t = 0, dst.position[one_value(h.target)]
+    img: list = [None] * len(elems)
+
+    def image(i):
+        k = img[i]
+        if k is None:
+            k = img[i] = image_of(elems[i])
+        return k
+
+    def first_bad(src_table, dst_table, op):
+        # x is imaged before the row: x + 0 = x and x * 0 = 0 (index 0), so
+        # this adds no image the pairwise order would not have asked for first
+        for i, row in enumerate(src_table):
+            a = image(i)
+            out = dst_table[a].__getitem__ if dst_table is not None else functools.partial(op, a)
+            for j, s in enumerate(row):
+                if image(s) != out(image(j)):
+                    return elems[i], elems[j]
+        return None
+
+    report = ValidationReport(subject=str(h))
+    zero, one = elems[0], one_value(h.source)
+    try:
+        ok = image(0) == zero_t
+        report.add("preserves_zero", ok, None if ok else (zero,), checked=1)
+        ok = image(src.position[one]) == one_t
+        report.add("preserves_one", ok, None if ok else (one,), checked=1)
+        for name, table, op in (("additive", "add", add), ("multiplicative", "mul", mul)):
+            bad = first_bad(getattr(src, table), dst and getattr(dst, table), op)
+            report.add(name, bad is None, bad, checked=len(elems) ** 2)
+    except TableIncomplete as exc:
+        report.add("table_covers_source", False, (str(exc),))
+    return report
+
+
 def _characteristic(desc: RingDescriptor) -> int | None:
     """Smallest k > 0 with k*1 = 0, or None for characteristic zero."""
     if isinstance(desc, (Integers, Rationals)):
@@ -689,8 +826,6 @@ def _characteristic(desc: RingDescriptor) -> int | None:
         chars = [_characteristic(f) for f in desc.factors]
         if any(c is None for c in chars):
             return None
-        import math
-
         out = 1
         for c in chars:
             out = out * c // math.gcd(out, c)

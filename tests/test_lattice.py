@@ -1,6 +1,7 @@
 """Lattice order theory and directed-lattice coherence."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -343,3 +344,90 @@ def test_path_independence_checks_match_the_reference(name, dl):
     for budget, seed in ((64, 0), (8, 5)):
         got = [c for c in dl_validate(dl, budget, seed).checks if c.name.startswith("path_")]
         assert got == reference_path_checks(dl, budget, seed).checks
+
+
+# -- transitions built from cached suffixes against the whole-path walk ---------
+
+
+def reference_transition(dl, i, j):
+    """The composite along the path of first cover lowers, composed in one call."""
+    L = dl.lattice
+    if i == j:
+        return rings.identity_hom(dl.ring_at[i])
+    steps, current = [], i
+    while current != j:
+        nxt = min((lo for lo in L.cover_lowers(current) if L.leq(j, lo)), key=str)
+        steps.append(dl.edge_homs[(current, nxt)])
+        current = nxt
+    return rings.compose_homs(*steps)
+
+
+def _transition_lattices():
+    two, four, eight = rings.Mod(2), rings.Mod(4), rings.Mod(8)
+    z2z2 = rings.Product((two, two))
+    swap = rings.table_hom(z2z2, z2z2, [((x, y), (y, x)) for x in (0, 1) for y in (0, 1)])
+    out = _path_lattices()
+    out += [
+        # identities around non-identity steps, and a composite edge
+        ("mixed_chain", corpus.chain(
+            eight, rings.identity_hom(eight), eight,
+            rings.compose_homs(rings.mod_to_mod(8, 4), rings.identity_hom(four)), four,
+            rings.identity_hom(four), four, rings.mod_to_mod(4, 2), two, rings.identity_hom(two), two,
+        )),
+        ("swaps_and_identities", corpus.chain(
+            z2z2, swap, z2z2, rings.identity_hom(z2z2), z2z2, swap, z2z2, rings.identity_hom(z2z2), z2z2,
+            rings.project(z2z2, 1), two,
+        )),
+        ("eight_step_reduction", corpus.chain(
+            eight, rings.compose_homs(rings.mod_to_mod(8, 4), rings.mod_to_mod(4, 2)), two,
+        )),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("name,dl", _transition_lattices(), ids=lambda x: x if isinstance(x, str) else "")
+def test_transitions_equal_the_whole_path_walk_in_any_query_order(name, dl):
+    L = dl.lattice
+    pairs = [(i, j) for i in L.nodes for j in L.nodes if L.leq(j, i)]
+    for seed in range(3):
+        fresh = DirectedLattice(L, dl.ring_at, dl.edge_homs)
+        random.Random(seed).shuffle(pairs)
+        for i, j in pairs:
+            assert fresh.transition(i, j) == reference_transition(dl, i, j)
+
+
+class ChainOrder:
+    """The order 0 < 1 < ... < n with what DirectedLattice.transition reads of a Lattice."""
+
+    def __init__(self, n):
+        self.nodes = tuple(range(n + 1))
+        self.bottom = 0
+
+    def covers(self):
+        return tuple((k + 1, k) for k in range(len(self.nodes) - 1))
+
+    def _check(self, *given):
+        for n in given:
+            if n not in self.nodes:
+                raise UnknownNode(n)
+
+    def leq(self, a, b):
+        return a <= b
+
+    def cover_lowers(self, n):
+        return (n - 1,) if n else ()
+
+
+def test_transition_down_a_chain_of_thousands_of_nodes():
+    n = 3000
+    two = rings.Mod(2)
+    z2z2 = rings.Product((two, two))
+    swap = rings.table_hom(z2z2, z2z2, [((x, y), (y, x)) for x in (0, 1) for y in (0, 1)])
+    ring_at = {k: z2z2 for k in range(1, n + 1)}
+    ring_at[0] = rings.ZERO
+    edges = {(k + 1, k): swap if k % 700 == 0 else rings.identity_hom(z2z2) for k in range(1, n)}
+    dl = DirectedLattice(ChainOrder(n), ring_at, edges)
+    hom = dl.transition(n, 1)
+    assert hom == reference_transition(dl, n, 1)
+    assert len(hom.rule.stages) == 4  # the swaps below 2800, 2100, 1400 and 700
+    assert dl.transition(n, 0).rule.stages[-1] == rings.collapse_hom(z2z2)

@@ -1,5 +1,6 @@
 """Exact ring arithmetic, units, enumeration and hom validation."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -205,6 +206,83 @@ def test_enumerate_infinite_raises():
         rings.enumerate_ring(QX)
 
 
+# -- index tables against brute force on values ------------------------------------
+
+
+def brute_force_tables(desc):
+    """(elements, position, add, mul) from enumerate_ring and the value operations."""
+    elems = rings.enumerate_ring(desc)
+    position = {x: i for i, x in enumerate(elems)}
+    add = [[position[rings.add(x, y)] for y in elems] for x in elems]
+    mul = [[position[rings.mul(x, y)] for y in elems] for x in elems]
+    return elems, position, add, mul
+
+
+def assert_tables_match(desc):
+    t = rings.FiniteTables(desc)
+    assert (t.elements, t.position, t.add, t.mul) == brute_force_tables(desc)
+
+
+TABLE_DESCRIPTORS = (
+    [rings.ZERO]
+    + [rings.Mod(n) for n in range(2, 13)]
+    + [
+        rings.Product((Z2,)),
+        rings.Product((Z2, Z3)),
+        rings.Product((Z3, Z2)),
+        rings.Product((Z2, rings.Product((Z3, Z2)))),
+        rings.Product((rings.Product((Z2, Z3)), rings.Mod(4))),
+        rings.Product((rings.Product((Z2,)), rings.Product((Z3, rings.Product((Z2, Z2)))))),
+    ]
+)
+
+
+@pytest.mark.parametrize("desc", TABLE_DESCRIPTORS, ids=str)
+def test_finite_tables_match_brute_force(desc):
+    assert_tables_match(desc)
+
+
+def _small_finite_descriptors():
+    leaves = st.integers(2, 12).map(rings.Mod)
+    products = st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, min_size=1, max_size=3).map(lambda fs: rings.Product(tuple(fs))),
+        max_leaves=4,
+    )
+    return st.one_of(st.just(rings.ZERO), products).filter(lambda d: rings.ring_size(d) <= 64)
+
+
+@given(_small_finite_descriptors())
+def test_finite_tables_match_brute_force_on_drawn_rings(desc):
+    assert_tables_match(desc)
+
+
+def test_finite_tables_refuse_infinite_rings():
+    for desc in (rings.Z, QX, rings.Product((Z2, rings.Q))):
+        with pytest.raises(InfiniteCarrier):
+            rings.FiniteTables(desc)
+
+
+# -- value hashing and equality ----------------------------------------------------
+
+
+def test_value_hash_equality_and_repr_are_the_structural_ones():
+    values = [
+        v(Z6, 4),
+        v(rings.ZERO, None),
+        v(rings.Q, Fraction(2, 3)),
+        v(QX, [1, 0, 2]),
+        v(rings.Product((Z2, rings.Product((Z3, Z2)))), (1, (2, 1))),
+    ]
+    for x in values:
+        twin = rings.RingValue(x.ring, x.payload)
+        assert hash(x) == hash((x.ring, x.payload)) == hash(twin)
+        assert x == twin and not x != twin and x is not twin
+        assert repr(x) == f"RingValue(ring={x.ring!r}, payload={x.payload!r})"
+    assert v(Z2, 1) != v(Z3, 1) and v(Z2, 1) != 1 and v(Z2, 1).__eq__(1) is NotImplemented
+    assert [f.name for f in dataclasses.fields(rings.RingValue)] == ["ring", "payload"]
+
+
 # -- homomorphisms ---------------------------------------------------------------
 
 
@@ -335,7 +413,11 @@ def scan_apply(h, x):
 
 def reference_hom_validate(h, budget=64, seed=0):
     """hom_validate with every image recomputed by scan_apply."""
-    elems, pairs, exhaustive = rings._validation_inputs(h.source, budget, seed)
+    if rings.is_finite(h.source):
+        elems = rings.enumerate_ring(h.source)
+        pairs, exhaustive = list(itertools.product(elems, elems)), True
+    else:
+        _, pairs, exhaustive = rings._validation_inputs(h.source, budget, seed)
     report = rings.ValidationReport(subject=str(h))
     zero, one = rings.zero_value(h.source), rings.one_value(h.source)
     try:
