@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from . import rings
 from .errors import InfiniteCarrier
-from .meadow import CarrierIndex, Meadow, MeadowElement, PreMeadow
+from .meadow import CarrierIndex, Meadow, PreMeadow
 from .report import EXHAUSTIVE, AxiomReport, LawResult, sampled
 from .terms import (
     Add,
@@ -174,17 +174,6 @@ def _suite_needs_inverse(laws) -> bool:
     return any(l.needs_inverse for l in laws)
 
 
-def _carrier_pool(m: PreMeadow) -> list[MeadowElement]:
-    """Fixed probe elements: full carrier when finite, sample pools otherwise."""
-    if m.is_finite():
-        return m.elements()
-    out = []
-    for node in m.lattice.nodes:
-        for v in rings.sample_pool(m.dl.ring_at[node]):
-            out.append(MeadowElement(node, v))
-    return out
-
-
 def _unit_locus(pool, zero_of, inverse) -> list:
     """Elements whose component zero matches their inverse's component zero."""
     return [x for x in pool if zero_of(x) == zero_of(inverse(x))]
@@ -330,7 +319,7 @@ def check_axioms(
     finite = m.is_finite()
     if exhaustive is None:
         max_arity = max((len(l.variables) for l in laws), default=0)
-        exhaustive = finite and len(_carrier_pool(m)) ** max_arity <= EXHAUSTIVE_TUPLE_LIMIT
+        exhaustive = finite and len(m.probe_pool()) ** max_arity <= EXHAUSTIVE_TUPLE_LIMIT
     if exhaustive and not finite:
         raise InfiniteCarrier("exhaustive checking needs a finite carrier")
 
@@ -338,7 +327,7 @@ def check_axioms(
     # where an ambiguous inverse raises at the first tuple that meets it.
     ix = m.freeze_tables() if finite else None
     if ix is None or (isinstance(m, Meadow) and m.status != "verified"):
-        pool = _carrier_pool(m)
+        pool = m.probe_pool()
         if suite == "AssemblyMul":
             pool = _unit_locus(pool, m.zero_of, m.inverse)
         scans = [_element_scan(l, m) for l in laws]
@@ -426,7 +415,7 @@ def find_counterexample(dl, law_name: str, mode_budget: int = 512, seed: int = 0
 
     m = _Meadow(dl, status="lazy")
     if law_name == "unique-maximal-J_x":
-        for x in _carrier_pool(m):
+        for x in m.probe_pool():
             w = m.inverse_witness(x)
             if len(w.maximal) != 1:
                 return (x,)
@@ -434,7 +423,7 @@ def find_counterexample(dl, law_name: str, mode_budget: int = 512, seed: int = 0
     for suite in SUITES.values():
         for l in suite:
             if l.name == law_name:
-                pool = _carrier_pool(m)
+                pool = m.probe_pool()
                 rng = random.Random(seed)
                 result = _check_law(l, _element_scan(l, m), pool, m.is_finite(), mode_budget, rng)
                 return tuple(result.witnesses[0]) if result.witnesses else None

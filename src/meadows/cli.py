@@ -46,7 +46,7 @@ def _parse_binding(meadow: Meadow, text: str):
         raise MeadowError(f"unknown node {node!r}")
     try:
         raw = json.loads(value_text)
-    except json.JSONDecodeError:
+    except ValueError:  # JSONDecodeError, or an int past the int/str digit limit
         raw = value_text  # bare fractions like 1/2
     return name.strip(), meadow.element(node, value_from_json(desc, raw))
 

@@ -74,16 +74,7 @@ def value_from_json(desc: rings.RingDescriptor, obj) -> rings.RingValue:
 
 
 def value_to_json(v: rings.RingValue):
-    desc = v.ring
-    if isinstance(desc, rings.Rationals):
-        return str(v.payload) if v.payload.denominator != 1 else v.payload.numerator
-    if isinstance(desc, rings.Product):
-        return [value_to_json(x) for x in v.payload]
-    if isinstance(desc, rings.Poly):
-        return [value_to_json(rings.ring_value(desc.base, c)) for c in v.payload]
-    if isinstance(desc, rings.Zero):
-        return None
-    return v.payload
+    return v.ring.to_raw(v.payload)
 
 
 def _hom_from_json(spec, source: rings.RingDescriptor, target: rings.RingDescriptor) -> rings.RingHom:
@@ -149,7 +140,7 @@ def load_lattice_file(path) -> DirectedLattice:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or an int past the int/str digit limit
         raise ParseError(f"cannot read {path}: {exc}") from exc
     dl = lattice_from_dict(data)
     report = dl_validate(dl)
@@ -233,6 +224,6 @@ def load_ideal_file(path, meadow: PreMeadow) -> MeadowIdeal:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or an int past the int/str digit limit
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return ideal_from_dict(data, meadow)

@@ -243,17 +243,18 @@ def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> Validat
     # i, and their images at each node below i, are computed once
     lower_of = {j: [k for k in L.nodes if k != j and L.leq(k, j)] for j in L.nodes}
     for i in L.nodes:
-        inputs = exhaustive = None
+        inputs = None
         direct: dict = {}  # k -> images of the inputs under transition(i, k)
         for j in L.nodes:
             if j == i or not L.leq(j, i) or not lower_of[j]:
                 continue
             if inputs is None:
                 desc = dl.ring_at[i]
-                if rings.is_finite(desc):
-                    inputs, exhaustive = rings.enumerate_ring(desc), True
+                finite = rings.is_finite(desc)
+                if finite:
+                    inputs = rings.enumerate_ring(desc)
                 else:
-                    inputs, _, exhaustive = rings._validation_inputs(desc, budget, seed)
+                    inputs, _ = rings._validation_inputs(desc, budget, seed)
             to_j = dl.transition(i, j)
             at_j = [rings.hom_apply(to_j, x) for x in inputs]
             for k in lower_of[j]:
@@ -272,7 +273,7 @@ def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> Validat
                     bad is None,
                     bad,
                     checked=len(inputs),
-                    sampled=not exhaustive,
+                    sampled=not finite,
                 )
     if report.ok:
         dl._passed[(budget, seed)] = report

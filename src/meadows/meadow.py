@@ -112,6 +112,17 @@ class PreMeadow:
     def size(self) -> int:
         return len(self.elements())
 
+    def probe_pool(self) -> list[MeadowElement]:
+        """Fixed probe elements: the carrier when finite, else each node's
+        ``rings.sample_pool``, in node order."""
+        if self.is_finite():
+            return self.elements()
+        return [
+            MeadowElement(node, v)
+            for node in self.lattice.nodes
+            for v in rings.sample_pool(self.dl.ring_at[node])
+        ]
+
     # -- operations --------------------------------------------------------------
 
     def _push(self, x: MeadowElement, node) -> rings.RingValue:
@@ -374,15 +385,6 @@ def build_meadow(dl: DirectedLattice, mode: str = "verify") -> Meadow:
     dl_validate(dl).raise_if_failed(InvalidLattice)
     if mode == "lazy":
         return Meadow(dl, status="lazy")
-    if dl.is_finite():
-        m = Meadow(dl, status="verified")
-        _verify_inverses(m, m.elements())
-        return m
-    m = Meadow(dl, status="lazy")
-    probes = [
-        MeadowElement(node, v)
-        for node in dl.lattice.nodes
-        for v in rings.sample_pool(dl.ring_at[node])
-    ]
-    _verify_inverses(m, probes)
+    m = Meadow(dl, status="verified" if dl.is_finite() else "lazy")
+    _verify_inverses(m, m.probe_pool())
     return m

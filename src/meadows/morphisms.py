@@ -59,19 +59,6 @@ class MeadowHom:
         return f"meadow hom on {len(self.lattice_map)} nodes"
 
 
-def _source_pairs(m: PreMeadow, budget: int):
-    """Element pairs to probe a hom with; the full square when finite."""
-    if m.is_finite():
-        elems = m.elements()
-        return list(itertools.product(elems, elems)), True
-    pool = []
-    for node in m.lattice.nodes:
-        for v in rings.sample_pool(m.dl.ring_at[node]):
-            pool.append(MeadowElement(node, v))
-    pairs = list(itertools.islice(itertools.product(pool, pool), budget * 4))
-    return pairs, False
-
-
 def hom_build(
     src: PreMeadow,
     dst: PreMeadow,
@@ -180,14 +167,18 @@ def _check_on_elements(f: MeadowHom, budget: int, seed: int) -> None:
         if rings.is_finite(desc):
             inputs = rings.enumerate_ring(desc)
         else:
-            inputs, _, _ = rings._validation_inputs(desc, budget, seed)
+            inputs, _ = rings._validation_inputs(desc, budget, seed)
         for v in inputs:
             if rings.hom_apply(down_then_map, v) != rings.hom_apply(map_then_down, v):
                 raise SquareDoesNotCommute(z, z2, v)
 
     if f.apply(src.one) != dst.one:
         raise UnitNotPreserved("1 is not sent to 1")
-    pairs, _exhaustive = _source_pairs(src, budget)
+    # the full square of a finite carrier, else the first pairs of the probe pool
+    pool = src.probe_pool()
+    pairs = itertools.product(pool, pool)
+    if not src.is_finite():
+        pairs = itertools.islice(pairs, budget * 4)
     for x, y in pairs:
         if f.apply(src.add(x, y)) != dst.add(f.apply(x), f.apply(y)):
             raise NotAHomomorphism(f"additivity fails at ({x}, {y})")
@@ -226,21 +217,12 @@ def hom_is_injective(f: MeadowHom):
     The witness is a colliding pair of nodes or of elements.  Raises
     Undecidable rather than guessing when a structural answer is unknown.
     """
-    values = list(f.lattice_map.values())
-    if len(set(values)) != len(values):
-        seen: dict = {}
-        for n, img in f.lattice_map.items():
-            if img in seen:
-                return False, (seen[img], n)
-            seen[img] = n
+    pair = rings.first_collision(f.lattice_map.__getitem__, f.lattice_map)
+    if pair is not None:
+        return False, pair
     if f.source.is_finite():
-        seen_el: dict = {}
-        for x in f.source.elements():
-            img = f.apply(x)
-            if img in seen_el:
-                return False, (seen_el[img], x)
-            seen_el[img] = x
-        return True, None
+        pair = rings.first_collision(f.apply, f.source.elements())
+        return (True, None) if pair is None else (False, pair)
     for z in f.source.lattice.nodes:
         verdict, witness = rings.hom_injective(f.ring_maps[z])
         if verdict is False:
@@ -356,8 +338,6 @@ class MeadowIdeal:
             return sorted(spec.values, key=repr)
         if isinstance(spec, NZ):
             return [rings.from_int(desc, k * spec.n) for k in range(-3, 4)]
-        if rings.is_finite(desc):
-            return rings.enumerate_ring(desc)
         return rings.sample_pool(desc)
 
     def members_by_node(self, node) -> frozenset:

@@ -3,6 +3,11 @@
 Descriptors name the rings, values carry canonical payloads (so value
 equality is structural equality), and homs are small rule objects that can
 be applied and validated exactly.  Everything is immutable.
+
+Each descriptor class holds its ring's arithmetic as methods on raw
+payloads, and each hom rule class holds its map as ``apply``; the module
+functions check that their arguments belong together, make one call and
+wrap the result.  A new ring or map is one new class here.
 """
 
 from __future__ import annotations
@@ -28,26 +33,125 @@ from .report import ValidationReport
 
 
 class RingDescriptor:
-    """Base marker for the closed descriptor family."""
+    """Base of the closed descriptor family.
+
+    A descriptor's methods take and return raw payloads, never checking
+    them: ``canon`` (raw input to canonical payload), ``to_raw`` (its
+    inverse, JSON-ready), ``from_int``, ``add``, ``mul``, ``neg``,
+    ``is_unit``, ``inverse`` (of a unit), ``characteristic`` (None for
+    characteristic zero), ``random`` and ``format``.  A finite ring sets
+    ``finite`` and gives ``size``, ``elements`` and ``index_table`` (the
+    tables of ``FiniteTables``); an infinite one gives the probe payloads
+    of ``sample``.
+    """
 
     __slots__ = ()
 
+    finite = False
+
+    def size(self) -> int:
+        raise InfiniteCarrier(f"{self} is infinite")
+
+    def elements(self) -> list:
+        raise InfiniteCarrier(f"{self} cannot be enumerated")
+
+    def prime_field(self) -> bool:
+        """True for Q and Z_p with p prime, the allowed coefficient fields."""
+        return False
+
+    def variables(self) -> list:
+        """Payloads of the ring's polynomial variables: x for F[x], none otherwise."""
+        return []
+
+    def characteristic(self):
+        return None
+
+    def to_raw(self, a):
+        return a
+
+    def format(self, a):
+        return str(a)
+
+
+class _Number(RingDescriptor):
+    """Z and Q: payloads are Python numbers, added and multiplied as such."""
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
 
 @dataclass(frozen=True)
-class Integers(RingDescriptor):
+class Integers(_Number):
     def __str__(self):
         return "Z"
 
+    def canon(self, raw):
+        if isinstance(raw, Fraction):
+            if raw.denominator != 1:
+                raise ValueError(f"{raw} is not an integer")
+            raw = raw.numerator
+        if not isinstance(raw, int):
+            raise ValueError(f"bad integer payload {raw!r}")
+        return raw
+
+    def from_int(self, m):
+        return m
+
+    def is_unit(self, a):
+        return a in (1, -1)
+
+    def inverse(self, a):
+        return a
+
+    def sample(self):
+        return list(range(-3, 4))
+
+    def random(self, rng):
+        return rng.randrange(-50, 51)
+
 
 @dataclass(frozen=True)
-class Rationals(RingDescriptor):
+class Rationals(_Number):
     def __str__(self):
         return "Q"
+
+    def canon(self, raw):
+        return Fraction(raw)
+
+    def to_raw(self, a):
+        return str(a) if a.denominator != 1 else a.numerator
+
+    def from_int(self, m):
+        return Fraction(m)
+
+    def is_unit(self, a):
+        return a != 0
+
+    def inverse(self, a):
+        return 1 / a
+
+    def prime_field(self):
+        return True
+
+    def sample(self):
+        ints = [Fraction(k) for k in range(-3, 4)]
+        return ints + [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-2, 3)]
+
+    def random(self, rng):
+        return Fraction(rng.randrange(-30, 31), rng.randrange(1, 12))
 
 
 @dataclass(frozen=True)
 class Mod(RingDescriptor):
     n: int
+
+    finite = True
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
@@ -56,22 +160,137 @@ class Mod(RingDescriptor):
     def __str__(self):
         return f"Z{self.n}"
 
+    def canon(self, raw):
+        if not isinstance(raw, int):
+            raise ValueError(f"bad residue payload {raw!r}")
+        return raw % self.n
+
+    def from_int(self, m):
+        return m % self.n
+
+    def add(self, a, b):
+        return (a + b) % self.n
+
+    def mul(self, a, b):
+        return (a * b) % self.n
+
+    def neg(self, a):
+        return (-a) % self.n
+
+    def is_unit(self, a):
+        return math.gcd(a, self.n) == 1
+
+    def inverse(self, a):
+        return pow(a, -1, self.n)
+
+    def characteristic(self):
+        return self.n
+
+    def prime_field(self):
+        return _is_prime(self.n)
+
+    def size(self):
+        return self.n
+
+    def elements(self):
+        return list(range(self.n))
+
+    def index_table(self, name: str) -> list[list[int]]:
+        n, op = self.n, getattr(operator, name)
+        return [[op(i, j) % n for j in range(n)] for i in range(n)]
+
+    def random(self, rng):
+        return rng.randrange(self.n)
+
 
 @dataclass(frozen=True)
 class Poly(RingDescriptor):
+    """Polynomials over a prime field; payloads are ascending coefficient tuples."""
+
     base: RingDescriptor
     var: str = "x"
 
     def __post_init__(self):
-        if not is_field_descriptor(self.base):
+        if not self.base.prime_field():
             raise ValueError("polynomial coefficients must come from Q or Z_p with p prime")
 
     def __str__(self):
         return f"{self.base}[{self.var}]"
 
+    def _trim(self, coeffs: list) -> tuple:
+        zero = self.base.from_int(0)
+        while coeffs and coeffs[-1] == zero:
+            coeffs.pop()
+        return tuple(coeffs)
+
+    def canon(self, raw):
+        return self._trim([_canon_payload(self.base, c) for c in raw])
+
+    def to_raw(self, a):
+        return [self.base.to_raw(c) for c in a]
+
+    def from_int(self, m):
+        return self._trim([self.base.from_int(m)])
+
+    def add(self, a, b):
+        zero = self.base.from_int(0)
+        return self._trim([self.base.add(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=zero)])
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        base = self.base
+        out = [base.from_int(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = base.add(out[i + j], base.mul(x, y))
+        return self._trim(out)
+
+    def neg(self, a):
+        return tuple(self.base.neg(c) for c in a)
+
+    def is_unit(self, a):
+        # field coefficients, so units are exactly the nonzero constants
+        return len(a) == 1
+
+    def inverse(self, a):
+        return (self.base.inverse(a[0]),)
+
+    def characteristic(self):
+        return self.base.characteristic()
+
+    def variables(self):
+        return [(self.base.from_int(0), self.base.from_int(1))]
+
+    def sample(self):
+        consts = [self.canon([c.payload]) for c in sample_pool(self.base)]
+        x = self.variables()[0]
+        return consts + [x, self.add(x, self.from_int(1))]
+
+    def random(self, rng):
+        deg = rng.randrange(0, 4)
+        return self.canon([self.base.random(rng) for _ in range(deg + 1)])
+
+    def format(self, a):
+        # ascending powers
+        var = self.var
+        parts = []
+        for k, c in enumerate(a):
+            if c == 0:
+                continue
+            if k == 0:
+                parts.append(str(c))
+            else:
+                head = "" if c == 1 else f"{c}"
+                power = var if k == 1 else f"{var}^{k}"
+                parts.append(f"{head}{power}" if head else power)
+        return " + ".join(parts) if parts else "0"
+
 
 @dataclass(frozen=True)
 class Product(RingDescriptor):
+    """Payloads are tuples of factor ``RingValue``s."""
+
     factors: tuple[RingDescriptor, ...]
 
     def __post_init__(self):
@@ -79,17 +298,106 @@ class Product(RingDescriptor):
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise ValueError("product needs at least one factor")
-        if any(isinstance(f, Zero) for f in factors):
+        if ZERO in factors:
             raise ValueError("product factors may not include the zero ring")
+        object.__setattr__(self, "finite", all(f.finite for f in factors))
 
     def __str__(self):
         return "(" + " x ".join(str(f) for f in self.factors) + ")"
 
+    def canon(self, raw):
+        items = tuple(raw)
+        if len(items) != len(self.factors):
+            raise ValueError(f"expected {len(self.factors)} coordinates, got {len(items)}")
+        return tuple(ring_value(f, it) for f, it in zip(self.factors, items))
+
+    def to_raw(self, a):
+        return [x.ring.to_raw(x.payload) for x in a]
+
+    def from_int(self, m):
+        return tuple(RingValue(f, f.from_int(m)) for f in self.factors)
+
+    def add(self, a, b):
+        return tuple(RingValue(f, f.add(x.payload, y.payload)) for f, x, y in zip(self.factors, a, b))
+
+    def mul(self, a, b):
+        return tuple(RingValue(f, f.mul(x.payload, y.payload)) for f, x, y in zip(self.factors, a, b))
+
+    def neg(self, a):
+        return tuple(RingValue(f, f.neg(x.payload)) for f, x in zip(self.factors, a))
+
+    def is_unit(self, a):
+        return all(f.is_unit(x.payload) for f, x in zip(self.factors, a))
+
+    def inverse(self, a):
+        return tuple(RingValue(f, f.inverse(x.payload)) for f, x in zip(self.factors, a))
+
+    def characteristic(self):
+        chars = [f.characteristic() for f in self.factors]
+        return None if None in chars else math.lcm(*chars)
+
+    def size(self):
+        return math.prod(f.size() for f in self.factors)
+
+    def elements(self):
+        return list(itertools.product(*[enumerate_ring(f) for f in self.factors]))
+
+    def index_table(self, name: str) -> list[list[int]]:
+        # mixed radix, the last factor fastest, as ``elements`` orders them
+        table = [[0]]
+        for f in self.factors:
+            q, rows = f.size(), f.index_table(name)
+            table = [
+                [x + y for x in shifted for y in row]
+                for shifted in ([x * q for x in left] for left in table)
+                for row in rows
+            ]
+        return table
+
+    def sample(self):
+        pools = [sample_pool(f) for f in self.factors]
+        return list(itertools.islice(itertools.product(*pools), 64))
+
+    def random(self, rng):
+        return tuple(RingValue(f, f.random(rng)) for f in self.factors)
+
+    def format(self, a):
+        return "(" + ", ".join(format_value(x) for x in a) + ")"
+
 
 @dataclass(frozen=True)
 class Zero(RingDescriptor):
+    finite = True
+
     def __str__(self):
         return "0-ring"
+
+    def _token(self, *args):
+        return TOK
+
+    # every operation lands on the one element, which is also the unit
+    canon = from_int = add = mul = neg = inverse = random = _token
+
+    def to_raw(self, a):
+        return None
+
+    def is_unit(self, a):
+        return True
+
+    def characteristic(self):
+        return 1
+
+    def size(self):
+        return 1
+
+    def elements(self):
+        return [TOK]
+
+    def index_table(self, name: str) -> list[list[int]]:
+        return [[0]]
+
+    def format(self, a):
+        return "a"
 
 
 Z = Integers()
@@ -111,31 +419,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def is_field_descriptor(desc: RingDescriptor) -> bool:
-    """Structural field test used by the descriptor invariants."""
-    return isinstance(desc, Rationals) or (isinstance(desc, Mod) and _is_prime(desc.n))
-
-
 def is_finite(desc: RingDescriptor) -> bool:
-    if isinstance(desc, (Zero, Mod)):
-        return True
-    if isinstance(desc, Product):
-        return all(is_finite(f) for f in desc.factors)
-    return False
+    return desc.finite
 
 
 def ring_size(desc: RingDescriptor) -> int:
     """Number of elements; raises for infinite carriers."""
-    if isinstance(desc, Zero):
-        return 1
-    if isinstance(desc, Mod):
-        return desc.n
-    if isinstance(desc, Product):
-        size = 1
-        for f in desc.factors:
-            size *= ring_size(f)
-        return size
-    raise InfiniteCarrier(f"{desc} is infinite")
+    return desc.size()
 
 
 # ---------------------------------------------------------------------------
@@ -171,36 +461,7 @@ def _canon_payload(desc: RingDescriptor, raw):
     if isinstance(raw, (bool, float)):
         # a float is already rounded, and True is not a ring element
         raise ValueError(f"inexact payload {raw!r} for {desc}; use an int, Fraction or string")
-    if isinstance(desc, Integers):
-        if isinstance(raw, Fraction):
-            if raw.denominator != 1:
-                raise ValueError(f"{raw} is not an integer")
-            raw = raw.numerator
-        if not isinstance(raw, int):
-            raise ValueError(f"bad integer payload {raw!r}")
-        return raw
-    if isinstance(desc, Rationals):
-        if isinstance(raw, str):
-            return Fraction(raw)
-        return Fraction(raw)
-    if isinstance(desc, Mod):
-        if not isinstance(raw, int):
-            raise ValueError(f"bad residue payload {raw!r}")
-        return raw % desc.n
-    if isinstance(desc, Poly):
-        coeffs = [_canon_payload(desc.base, c) for c in raw]
-        zero = _canon_payload(desc.base, 0)
-        while coeffs and coeffs[-1] == zero:
-            coeffs.pop()
-        return tuple(coeffs)
-    if isinstance(desc, Product):
-        items = tuple(raw)
-        if len(items) != len(desc.factors):
-            raise ValueError(f"expected {len(desc.factors)} coordinates, got {len(items)}")
-        return tuple(ring_value(f, it) for f, it in zip(desc.factors, items))
-    if isinstance(desc, Zero):
-        return TOK
-    raise ValueError(f"unknown descriptor {desc!r}")
+    return desc.canon(raw)
 
 
 def ring_value(desc: RingDescriptor, raw) -> RingValue:
@@ -222,19 +483,7 @@ def one_value(desc: RingDescriptor) -> RingValue:
 
 def from_int(desc: RingDescriptor, m: int) -> RingValue:
     """The canonical image of the integer ``m``, i.e. m times the unit."""
-    if isinstance(desc, Integers):
-        return RingValue(desc, m)
-    if isinstance(desc, Rationals):
-        return RingValue(desc, Fraction(m))
-    if isinstance(desc, Mod):
-        return RingValue(desc, m % desc.n)
-    if isinstance(desc, Poly):
-        return ring_value(desc, [from_int(desc.base, m).payload])
-    if isinstance(desc, Product):
-        return RingValue(desc, tuple(from_int(f, m) for f in desc.factors))
-    if isinstance(desc, Zero):
-        return RingValue(desc, TOK)
-    raise ValueError(f"unknown descriptor {desc!r}")
+    return RingValue(desc, desc.from_int(m))
 
 
 def _require_same(desc: RingDescriptor, *values: RingValue) -> None:
@@ -243,70 +492,22 @@ def _require_same(desc: RingDescriptor, *values: RingValue) -> None:
             raise DescriptorMismatch(f"{v} does not belong to {desc}")
 
 
-def _base_ops(base: RingDescriptor):
-    """(zero, add, mul, neg) on raw coefficient payloads of a field base."""
-    if isinstance(base, Rationals):
-        return Fraction(0), lambda x, y: x + y, lambda x, y: x * y, lambda x: -x
-    n = base.n
-    return 0, lambda x, y: (x + y) % n, lambda x, y: (x * y) % n, lambda x: (-x) % n
-
-
 def add(a: RingValue, b: RingValue) -> RingValue:
     desc = a.ring
     _require_same(desc, a, b)
-    if isinstance(desc, (Integers, Rationals)):
-        return RingValue(desc, a.payload + b.payload)
-    if isinstance(desc, Mod):
-        return RingValue(desc, (a.payload + b.payload) % desc.n)
-    if isinstance(desc, Poly):
-        zero, badd, _, _ = _base_ops(desc.base)
-        pa, pb = a.payload, b.payload
-        out = [badd(x, y) for x, y in itertools.zip_longest(pa, pb, fillvalue=zero)]
-        while out and out[-1] == zero:
-            out.pop()
-        return RingValue(desc, tuple(out))
-    if isinstance(desc, Product):
-        return RingValue(desc, tuple(add(x, y) for x, y in zip(a.payload, b.payload)))
-    return RingValue(desc, TOK)
+    return RingValue(desc, desc.add(a.payload, b.payload))
 
 
 def mul(a: RingValue, b: RingValue) -> RingValue:
     desc = a.ring
     _require_same(desc, a, b)
-    if isinstance(desc, (Integers, Rationals)):
-        return RingValue(desc, a.payload * b.payload)
-    if isinstance(desc, Mod):
-        return RingValue(desc, (a.payload * b.payload) % desc.n)
-    if isinstance(desc, Poly):
-        zero, badd, bmul, _ = _base_ops(desc.base)
-        pa, pb = a.payload, b.payload
-        if not pa or not pb:
-            return RingValue(desc, ())
-        out = [zero] * (len(pa) + len(pb) - 1)
-        for i, x in enumerate(pa):
-            for j, y in enumerate(pb):
-                out[i + j] = badd(out[i + j], bmul(x, y))
-        while out and out[-1] == zero:
-            out.pop()
-        return RingValue(desc, tuple(out))
-    if isinstance(desc, Product):
-        return RingValue(desc, tuple(mul(x, y) for x, y in zip(a.payload, b.payload)))
-    return RingValue(desc, TOK)
+    return RingValue(desc, desc.mul(a.payload, b.payload))
 
 
 def neg(a: RingValue) -> RingValue:
     desc = a.ring
     _require_same(desc, a)
-    if isinstance(desc, (Integers, Rationals)):
-        return RingValue(desc, -a.payload)
-    if isinstance(desc, Mod):
-        return RingValue(desc, (-a.payload) % desc.n)
-    if isinstance(desc, Poly):
-        _, _, _, bneg = _base_ops(desc.base)
-        return RingValue(desc, tuple(bneg(c) for c in a.payload))
-    if isinstance(desc, Product):
-        return RingValue(desc, tuple(neg(x) for x in a.payload))
-    return RingValue(desc, TOK)
+    return RingValue(desc, desc.neg(a.payload))
 
 
 def sub(a: RingValue, b: RingValue) -> RingValue:
@@ -315,49 +516,19 @@ def sub(a: RingValue, b: RingValue) -> RingValue:
 
 def is_unit(v: RingValue) -> bool:
     """True iff the element has a multiplicative inverse in its ring."""
-    desc = v.ring
-    if isinstance(desc, Integers):
-        return v.payload in (1, -1)
-    if isinstance(desc, Rationals):
-        return v.payload != 0
-    if isinstance(desc, Mod):
-        return math.gcd(v.payload, desc.n) == 1
-    if isinstance(desc, Poly):
-        # field coefficients, so units are exactly the nonzero constants
-        return len(v.payload) == 1
-    if isinstance(desc, Product):
-        return all(is_unit(x) for x in v.payload)
-    return True  # the zero ring: its element equals 1
+    return v.ring.is_unit(v.payload)
 
 
 def unit_inverse(v: RingValue) -> RingValue:
     desc = v.ring
     if not is_unit(v):
         raise NotAUnit(f"{v} has no inverse in {desc}")
-    if isinstance(desc, Integers):
-        return v
-    if isinstance(desc, Rationals):
-        return RingValue(desc, 1 / v.payload)
-    if isinstance(desc, Mod):
-        return RingValue(desc, pow(v.payload, -1, desc.n))
-    if isinstance(desc, Poly):
-        c = ring_value(desc.base, v.payload[0])
-        return RingValue(desc, (unit_inverse(c).payload,))
-    if isinstance(desc, Product):
-        return RingValue(desc, tuple(unit_inverse(x) for x in v.payload))
-    return RingValue(desc, TOK)
+    return RingValue(desc, desc.inverse(v.payload))
 
 
 def enumerate_ring(desc: RingDescriptor) -> list[RingValue]:
     """All elements, once each, in a deterministic order."""
-    if isinstance(desc, Zero):
-        return [RingValue(desc, TOK)]
-    if isinstance(desc, Mod):
-        return [RingValue(desc, r) for r in range(desc.n)]
-    if isinstance(desc, Product):
-        pools = [enumerate_ring(f) for f in desc.factors]
-        return [RingValue(desc, combo) for combo in itertools.product(*pools)]
-    raise InfiniteCarrier(f"{desc} cannot be enumerated")
+    return [RingValue(desc, p) for p in desc.elements()]
 
 
 class FiniteTables:
@@ -365,20 +536,14 @@ class FiniteTables:
 
     ``elements[i]`` is element i and ``position`` maps each element back to
     i; ``add`` and ``mul`` are N x N tables of element indices, each built
-    the first time it is read.  A product's order is mixed radix with the
-    last factor fastest, so its tables combine the factor tables with
-    integer arithmetic alone.
+    the first time it is read by the descriptor's ``index_table``.  A
+    product's order is mixed radix with the last factor fastest, so its
+    tables combine the factor tables with integer arithmetic alone.
     """
 
     def __init__(self, desc: RingDescriptor):
         self.desc = desc
-        if isinstance(desc, Product):
-            self._factors = [FiniteTables(f) for f in desc.factors]
-            pools = [f.elements for f in self._factors]
-            self.elements = [RingValue(desc, combo) for combo in itertools.product(*pools)]
-        else:
-            self._factors = []
-            self.elements = enumerate_ring(desc)
+        self.elements = enumerate_ring(desc)
 
     @functools.cached_property
     def position(self) -> dict:
@@ -386,103 +551,37 @@ class FiniteTables:
 
     @functools.cached_property
     def add(self) -> list[list[int]]:
-        return self._table("add")
+        return self.desc.index_table("add")
 
     @functools.cached_property
     def mul(self) -> list[list[int]]:
-        return self._table("mul")
-
-    def _table(self, name: str) -> list[list[int]]:
-        if isinstance(self.desc, Mod):
-            n, op = self.desc.n, getattr(operator, name)
-            return [[op(i, j) % n for j in range(n)] for i in range(n)]
-        table = [[0]]  # the zero ring, and the empty product
-        for f in self._factors:
-            q = len(f.elements)
-            table = [
-                [x + y for x in shifted for y in row]
-                for shifted in ([x * q for x in left] for left in table)
-                for row in getattr(f, name)
-            ]
-        return table
+        return self.desc.index_table("mul")
 
 
 def is_field(desc: RingDescriptor) -> bool:
     """Exact field test: exhaustive unit scan on finite rings."""
-    if isinstance(desc, Rationals):
-        return True
     if is_finite(desc):
         elems = enumerate_ring(desc)
         if len(elems) < 2:
             return False
         zero = zero_value(desc)
         return all(is_unit(v) for v in elems if v != zero)
-    return False
+    return desc.prime_field()  # Q is the family's only infinite field
 
 
 def sample_pool(desc: RingDescriptor) -> list[RingValue]:
     """Fixed deterministic probe set; the full carrier when finite."""
     if is_finite(desc):
         return enumerate_ring(desc)
-    if isinstance(desc, Integers):
-        return [RingValue(desc, k) for k in range(-3, 4)]
-    if isinstance(desc, Rationals):
-        ints = [Fraction(k) for k in range(-3, 4)]
-        extra = [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-2, 3)]
-        return [RingValue(desc, f) for f in ints + extra]
-    if isinstance(desc, Poly):
-        consts = [ring_value(desc, [c.payload]) for c in sample_pool(desc.base)]
-        x = ring_value(desc, [zero_value(desc.base).payload, one_value(desc.base).payload])
-        x_plus_1 = add(x, one_value(desc))
-        return consts + [x, x_plus_1]
-    if isinstance(desc, Product):
-        pools = [sample_pool(f) for f in desc.factors]
-        combos = itertools.islice(itertools.product(*pools), 64)
-        return [RingValue(desc, combo) for combo in combos]
-    raise ValueError(f"unknown descriptor {desc!r}")
+    return [RingValue(desc, p) for p in desc.sample()]
 
 
 def random_value(desc: RingDescriptor, rng: random.Random) -> RingValue:
-    if isinstance(desc, Integers):
-        return RingValue(desc, rng.randrange(-50, 51))
-    if isinstance(desc, Rationals):
-        return RingValue(desc, Fraction(rng.randrange(-30, 31), rng.randrange(1, 12)))
-    if isinstance(desc, Mod):
-        return RingValue(desc, rng.randrange(desc.n))
-    if isinstance(desc, Poly):
-        deg = rng.randrange(0, 4)
-        coeffs = [random_value(desc.base, rng).payload for _ in range(deg + 1)]
-        return ring_value(desc, coeffs)
-    if isinstance(desc, Product):
-        return RingValue(desc, tuple(random_value(f, rng) for f in desc.factors))
-    return RingValue(desc, TOK)
+    return RingValue(desc, desc.random(rng))
 
 
 def format_value(v: RingValue) -> str:
-    desc = v.ring
-    if isinstance(desc, Zero):
-        return "a"
-    if isinstance(desc, (Integers, Mod)):
-        return str(v.payload)
-    if isinstance(desc, Rationals):
-        return str(v.payload)
-    if isinstance(desc, Product):
-        return "(" + ", ".join(format_value(x) for x in v.payload) + ")"
-    # polynomial, ascending powers
-    if not v.payload:
-        return "0"
-    var = desc.var
-    parts = []
-    for k, c in enumerate(v.payload):
-        if c == 0:
-            continue
-        if k == 0:
-            parts.append(str(c))
-        else:
-            head = "" if c == 1 else f"{c}"
-            power = var if k == 1 else f"{var}^{k}"
-            parts.append(f"{head}{power}" if head else power)
-    return " + ".join(parts) if parts else "0"
+    return v.ring.format(v.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -490,31 +589,62 @@ def format_value(v: RingValue) -> str:
 
 
 class HomRule:
+    """Base of the hom rules.
+
+    ``apply(h, v)`` is the image under ``h`` of ``v``, already known to lie
+    in ``h.source``.  ``injective(h)`` decides injectivity on an infinite
+    source from the rule's structure, as ``hom_injective`` reports it.
+    """
+
     __slots__ = ()
+
+    def injective(self, h: "RingHom"):
+        return None, None
 
 
 @dataclass(frozen=True)
 class Identity(HomRule):
+    def apply(self, h, v):
+        return v
+
+    def injective(self, h):
+        return True, None
+
+
+class _UnitImage(HomRule):
+    """m to m times the unit of the target: the maps out of Z, and Z_n -> Z_m.
+
+    Injective exactly when the target has characteristic zero; otherwise
+    0 and the characteristic collide.
+    """
+
+    def apply(self, h, v):
+        return RingValue(h.target, h.target.from_int(v.payload))
+
+    def injective(self, h):
+        c = h.target.characteristic()
+        if c is None:
+            return True, None
+        return False, (from_int(h.source, 0), from_int(h.source, c))
+
+
+@dataclass(frozen=True)
+class IncludeRationals(_UnitImage):
     pass
 
 
 @dataclass(frozen=True)
-class IncludeRationals(HomRule):
-    pass
-
-
-@dataclass(frozen=True)
-class ReduceIntMod(HomRule):
+class ReduceIntMod(_UnitImage):
     """Z -> Z_n, canonical reduction; n lives in the target descriptor."""
 
 
 @dataclass(frozen=True)
-class ReduceModDiv(HomRule):
+class ReduceModDiv(_UnitImage):
     """Z_n -> Z_m with m dividing n."""
 
 
 @dataclass(frozen=True)
-class UnitMap(HomRule):
+class UnitMap(_UnitImage):
     """Z -> R, m maps to m times the unit of R."""
 
 
@@ -522,20 +652,59 @@ class UnitMap(HomRule):
 class PolyEvalAt(HomRule):
     point: RingValue  # element of the coefficient field
 
+    def apply(self, h, v):
+        # Horner's rule in the coefficient field
+        base, point = h.target, self.point.payload
+        acc = base.from_int(0)
+        for c in reversed(v.payload):
+            acc = base.add(base.mul(acc, point), c)
+        return RingValue(base, acc)
+
+    def injective(self, h):
+        const = ring_value(h.source, [self.point.payload])
+        return False, (const, RingValue(h.source, h.source.variables()[0]))
+
 
 @dataclass(frozen=True)
 class ConstantEmbed(HomRule):
     """R -> R[x] as constant polynomials."""
+
+    def apply(self, h, v):
+        return ring_value(h.target, [v.payload])
+
+    def injective(self, h):
+        return True, None
 
 
 @dataclass(frozen=True)
 class Project(HomRule):
     index: int
 
+    def apply(self, h, v):
+        return v.payload[self.index]
+
+    def injective(self, h):
+        # injective iff no other coordinate can vary freely
+        return len(h.source.factors) == 1, None
+
 
 @dataclass(frozen=True)
 class PairRule(HomRule):
     components: tuple["RingHom", ...]
+
+    def apply(self, h, v):
+        return RingValue(h.target, tuple(hom_apply(c, v) for c in self.components))
+
+    def injective(self, h):
+        if any(hom_injective(c)[0] is True for c in self.components):
+            return True, None
+        if is_finite(h.target):
+            # infinite source into a finite product: pigeonhole on 0, 1, ..., |target|
+            inputs = (from_int(h.source, k) for k in range(ring_size(h.target) + 1))
+            pair = first_collision(functools.partial(hom_apply, h), inputs)
+            if pair is not None:
+                return False, pair
+        return None, None
 
 
 @dataclass(frozen=True)
@@ -550,15 +719,40 @@ class TableRule(HomRule):
             lookup.setdefault(vin, vout)
         object.__setattr__(self, "lookup", lookup)
 
+    def apply(self, h, v):
+        try:
+            return self.lookup[v]
+        except KeyError:
+            raise TableIncomplete(f"no table entry for {v}") from None
+
 
 @dataclass(frozen=True)
 class ComposeRule(HomRule):
     stages: tuple["RingHom", ...]  # applied left to right
 
+    def apply(self, h, v):
+        for stage in self.stages:
+            v = hom_apply(stage, v)
+        return v
+
+    def injective(self, h):
+        verdicts = [hom_injective(stage)[0] for stage in self.stages]
+        if all(v is True for v in verdicts):
+            return True, None
+        if any(is_finite(stage.target) for stage in self.stages):
+            return False, None
+        return None, None
+
 
 @dataclass(frozen=True)
 class Collapse(HomRule):
     """The unique map into the zero ring."""
+
+    def apply(self, h, v):
+        return RingValue(h.target, TOK)
+
+    def injective(self, h):
+        return False, (zero_value(h.source), one_value(h.source))
 
 
 @dataclass(frozen=True)
@@ -655,52 +849,19 @@ def collapse_hom(source: RingDescriptor) -> RingHom:
 def hom_apply(h: RingHom, v: RingValue) -> RingValue:
     if not isinstance(v, RingValue) or (v.ring is not h.source and v.ring != h.source):
         raise DescriptorMismatch(f"{v} is not in the source of {h}")
-    rule = h.rule
-    if isinstance(rule, Identity):
-        return v
-    if isinstance(rule, IncludeRationals):
-        return RingValue(Q, Fraction(v.payload))
-    if isinstance(rule, (ReduceIntMod, ReduceModDiv)):
-        return RingValue(h.target, v.payload % h.target.n)
-    if isinstance(rule, UnitMap):
-        return from_int(h.target, v.payload)
-    if isinstance(rule, PolyEvalAt):
-        acc = zero_value(h.target)
-        for c in reversed(v.payload):
-            acc = add(mul(acc, rule.point), ring_value(h.target, c))
-        return acc
-    if isinstance(rule, ConstantEmbed):
-        return ring_value(h.target, [v.payload])
-    if isinstance(rule, Project):
-        return v.payload[rule.index]
-    if isinstance(rule, PairRule):
-        return RingValue(h.target, tuple(hom_apply(c, v) for c in rule.components))
-    if isinstance(rule, TableRule):
-        try:
-            return rule.lookup[v]
-        except KeyError:
-            raise TableIncomplete(f"no table entry for {v}") from None
-    if isinstance(rule, ComposeRule):
-        out = v
-        for stage in rule.stages:
-            out = hom_apply(stage, out)
-        return out
-    if isinstance(rule, Collapse):
-        return RingValue(ZERO, TOK)
-    raise ValueError(f"unknown rule {rule!r}")
+    return h.rule.apply(h, v)
 
 
 def _validation_inputs(desc: RingDescriptor, budget: int, seed: int):
-    """(elements, pairs, exhaustive?) to probe an infinite ring with: a seeded sample."""
+    """(elements, pairs) to probe an infinite ring with: a seeded sample."""
     gens = [zero_value(desc), one_value(desc), neg(one_value(desc))]
-    if isinstance(desc, Poly):
-        gens.append(ring_value(desc, [zero_value(desc.base).payload, one_value(desc.base).payload]))
+    gens += [RingValue(desc, x) for x in desc.variables()]
     rng = random.Random(seed)
     extra = [random_value(desc, rng) for _ in range(budget)]
     elems = gens + extra
     pairs = list(itertools.product(gens, gens))
     pairs += [(random_value(desc, rng), random_value(desc, rng)) for _ in range(budget)]
-    return elems, pairs, False
+    return elems, pairs
 
 
 class _OffTarget(Exception):
@@ -726,7 +887,7 @@ def hom_validate(h: RingHom, budget: int = 64, seed: int = 0) -> ValidationRepor
             except _OffTarget:
                 pass
         return _validate_on_index(h, src, None)
-    elems, pairs, exhaustive = _validation_inputs(h.source, budget, seed)
+    _, pairs = _validation_inputs(h.source, budget, seed)
     report = ValidationReport(subject=str(h))
 
     images: dict = {}
@@ -742,18 +903,9 @@ def hom_validate(h: RingHom, budget: int = 64, seed: int = 0) -> ValidationRepor
         report.add("preserves_zero", ok, None if ok else (zero_value(h.source),), checked=1)
         ok = image(one_value(h.source)) == one_value(h.target)
         report.add("preserves_one", ok, None if ok else (one_value(h.source),), checked=1)
-        bad = None
-        for x, y in pairs:
-            if image(add(x, y)) != add(image(x), image(y)):
-                bad = (x, y)
-                break
-        report.add("additive", bad is None, bad, checked=len(pairs), sampled=not exhaustive)
-        bad = None
-        for x, y in pairs:
-            if image(mul(x, y)) != mul(image(x), image(y)):
-                bad = (x, y)
-                break
-        report.add("multiplicative", bad is None, bad, checked=len(pairs), sampled=not exhaustive)
+        for name, op in (("additive", add), ("multiplicative", mul)):
+            bad = next(((x, y) for x, y in pairs if image(op(x, y)) != op(image(x), image(y))), None)
+            report.add(name, bad is None, bad, checked=len(pairs), sampled=True)
     except TableIncomplete as exc:
         report.add("table_covers_source", False, (str(exc),))
     return report
@@ -814,83 +966,25 @@ def _validate_on_index(h: RingHom, src: FiniteTables, dst: FiniteTables | None) 
     return report
 
 
-def _characteristic(desc: RingDescriptor) -> int | None:
-    """Smallest k > 0 with k*1 = 0, or None for characteristic zero."""
-    if isinstance(desc, (Integers, Rationals)):
-        return None
-    if isinstance(desc, Mod):
-        return desc.n
-    if isinstance(desc, Poly):
-        return _characteristic(desc.base)
-    if isinstance(desc, Product):
-        chars = [_characteristic(f) for f in desc.factors]
-        if any(c is None for c in chars):
-            return None
-        out = 1
-        for c in chars:
-            out = out * c // math.gcd(out, c)
-        return out
-    return 1
-
-
 def hom_injective(h: RingHom):
     """(verdict, witness) where verdict is True, False or None (unknown).
 
-    Finite sources are settled exhaustively; infinite ones structurally.
-    A False verdict comes with two colliding inputs when one is known.
+    Finite sources are settled exhaustively; infinite ones structurally,
+    by the rule's ``injective``.  A False verdict comes with two colliding
+    inputs when one is known.
     """
     if is_finite(h.source):
-        seen: dict[RingValue, RingValue] = {}
-        for v in enumerate_ring(h.source):
-            img = hom_apply(h, v)
-            if img in seen:
-                return False, (seen[img], v)
-            seen[img] = v
-        return True, None
-    rule = h.rule
-    if isinstance(rule, (Identity, IncludeRationals, ConstantEmbed)):
-        return True, None
-    if isinstance(rule, Collapse):
-        return False, (zero_value(h.source), one_value(h.source))
-    if isinstance(rule, (ReduceIntMod, ReduceModDiv)):
-        n = h.target.n
-        return False, (from_int(h.source, 0), from_int(h.source, n))
-    if isinstance(rule, UnitMap):
-        c = _characteristic(h.target)
-        if c is None:
-            return True, None
-        return False, (from_int(h.source, 0), from_int(h.source, c))
-    if isinstance(rule, PolyEvalAt):
-        pt = rule.point
-        const = ring_value(h.source, [pt.payload])
-        linear = ring_value(h.source, [zero_value(h.source.base).payload, one_value(h.source.base).payload])
-        return False, (const, linear)
-    if isinstance(rule, Project):
-        # injective iff no other coordinate can vary freely
-        return len(h.source.factors) == 1, None
-    if isinstance(rule, PairRule):
-        for comp in rule.components:
-            verdict, _ = hom_injective(comp)
-            if verdict is True:
-                return True, None
-        if all(is_finite(c.target) for c in rule.components):
-            # infinite source into a finite product: pigeonhole
-            bound = 1
-            for c in rule.components:
-                bound *= ring_size(c.target)
-            seen: dict[tuple, RingValue] = {}
-            for k in range(bound + 1):
-                v = from_int(h.source, k)
-                img = tuple(hom_apply(c, v) for c in rule.components)
-                if img in seen:
-                    return False, (seen[img], v)
-                seen[img] = v
-        return None, None
-    if isinstance(rule, ComposeRule):
-        verdicts = [hom_injective(stage)[0] for stage in rule.stages]
-        if all(v is True for v in verdicts):
-            return True, None
-        if any(is_finite(stage.target) for stage in rule.stages):
-            return False, None
-        return None, None
-    return None, None
+        pair = first_collision(functools.partial(hom_apply, h), enumerate_ring(h.source))
+        return (True, None) if pair is None else (False, pair)
+    return h.rule.injective(h)
+
+
+def first_collision(image, inputs):
+    """The first two inputs, in order, with equal images; None if there are none."""
+    seen: dict = {}
+    for v in inputs:
+        img = image(v)
+        if img in seen:
+            return seen[img], v
+        seen[img] = v
+    return None

@@ -1,8 +1,13 @@
 """Lattice file loading, serialization round trips and the CLI."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from meadows import rings
 from meadows.cli import main
@@ -16,6 +21,8 @@ from meadows.latfile import (
     value_to_json,
 )
 from meadows.meadow import build_meadow
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SHIPPED = [
     "lattices/chain_z_q.json",
@@ -148,6 +155,35 @@ def test_value_json_round_trip():
     for desc, raw in cases:
         v = value_from_json(desc, raw)
         assert value_from_json(desc, value_to_json(v)) == v
+
+
+def _product_value(values):
+    return rings.ring_value(rings.Product(tuple(v.ring for v in values)), values)
+
+
+LEAF_VALUES = st.one_of(
+    st.integers().map(lambda k: rings.ring_value(rings.Z, k)),
+    st.fractions().map(lambda f: rings.ring_value(rings.Q, f)),
+    st.builds(lambda n, k: rings.ring_value(rings.Mod(n), k), st.integers(2, 50), st.integers()),
+    st.lists(st.fractions(), max_size=4).map(lambda cs: rings.ring_value(rings.Poly(rings.Q), cs)),
+    st.builds(
+        lambda p, cs: rings.ring_value(rings.Poly(rings.Mod(p), "t"), cs),
+        st.sampled_from([2, 3, 5, 7]),
+        st.lists(st.integers(), max_size=4),
+    ),
+    st.just(rings.ring_value(rings.ZERO, None)),
+)
+VALUES = st.recursive(
+    LEAF_VALUES,
+    lambda inner: st.lists(inner.filter(lambda v: v.ring != rings.ZERO), min_size=1, max_size=3).map(_product_value),
+    max_leaves=6,
+)
+
+
+@given(VALUES)
+def test_value_json_round_trip_on_every_descriptor_kind(v):
+    data = json.loads(json.dumps(value_to_json(v)))
+    assert value_from_json(v.ring, data) == v
 
 
 def test_ideal_defaults(tmp_path):
@@ -301,3 +337,32 @@ def test_unknown_node_in_order_is_not_rewrapped():
     data = {**_lattice({"mod": 2}), "order": [["a", "nowhere"]]}
     with pytest.raises(UnknownNode):
         lattice_from_dict(data)
+
+
+# 5,000 digits is past Python's int/str conversion limit, so ``json`` itself
+# raises ValueError on the file before any meadow code reads it
+HUGE = "7" * 5000
+OVERSIZED = {
+    "lattice": (
+        '{"nodes": {"t": {"ring": {"mod": %s}}, "a": {"ring": "zero"}}, "order": [["a", "t"]]}' % HUGE,
+        ["check", "{path}"],
+    ),
+    "ideal": ('{"z": {"nZ": %s}}' % HUGE, ["quotient", "lattices/z.json", "--ideal", "{path}"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OVERSIZED))
+def test_cli_json_reports_an_oversized_integer_in_a_file_as_one_error(tmp_path, kind):
+    text, argv = OVERSIZED[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    argv = [a.format(path=path) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "meadows", "--json", *argv], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ParseError"

@@ -36,7 +36,7 @@ def reference_hom_validate(h: rings.RingHom, budget: int = 64, seed: int = 0) ->
         elems = rings.enumerate_ring(h.source)
         pairs, exhaustive = list(itertools.product(elems, elems)), True
     else:
-        _, pairs, exhaustive = rings._validation_inputs(h.source, budget, seed)
+        (_, pairs), exhaustive = rings._validation_inputs(h.source, budget, seed), False
     report = ValidationReport(subject=str(h))
     images: dict = {}
 

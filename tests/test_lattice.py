@@ -308,7 +308,7 @@ def reference_path_checks(dl, budget=64, seed=0):
                 if rings.is_finite(desc):
                     inputs, exhaustive = rings.enumerate_ring(desc), True
                 else:
-                    inputs, _, exhaustive = rings._validation_inputs(desc, budget, seed)
+                    (inputs, _), exhaustive = rings._validation_inputs(desc, budget, seed), False
                 bad = next(
                     (x for x in inputs if rings.hom_apply(direct, x) != rings.hom_apply(via, x)),
                     None,

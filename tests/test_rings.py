@@ -417,7 +417,7 @@ def reference_hom_validate(h, budget=64, seed=0):
         elems = rings.enumerate_ring(h.source)
         pairs, exhaustive = list(itertools.product(elems, elems)), True
     else:
-        _, pairs, exhaustive = rings._validation_inputs(h.source, budget, seed)
+        (_, pairs), exhaustive = rings._validation_inputs(h.source, budget, seed), False
     report = rings.ValidationReport(subject=str(h))
     zero, one = rings.zero_value(h.source), rings.one_value(h.source)
     try:
