@@ -61,7 +61,7 @@ def _search_maps(n_src, n_dst, add_src, mul_src, add_dst, mul_dst, seeds):
 def enumerate_ring_homs(src: rings.RingDescriptor, dst: rings.RingDescriptor) -> list[rings.RingHom]:
     """Every unital ring hom between two finite rings, as table homs."""
     s, d = rings.FiniteTables(src), rings.FiniteTables(dst)
-    seeds = {s.position[rings.one_value(src)]: d.position[rings.one_value(dst)]}
+    seeds = {s.index[src.from_int(1)]: d.index[dst.from_int(1)]}
     maps = _search_maps(len(s.elements), len(d.elements), s.add, s.mul, d.add, d.mul, seeds)
     return [
         rings.table_hom(src, dst, [(s.elements[i], d.elements[j]) for i, j in m.items()])

@@ -82,11 +82,11 @@ class Lattice:
         return None
 
     def meet(self, i, j):
-        self._check(i, j)
-        key = (i, j)
-        if key not in self._meet_cache:
-            self._meet_cache[key] = self._glb(i, j)
-        got = self._meet_cache[key]
+        try:
+            got = self._meet_cache[(i, j)]
+        except KeyError:
+            self._check(i, j)  # only nodes reach the cache
+            got = self._meet_cache[(i, j)] = self._glb(i, j)
         if got is None:
             raise ValueError(f"nodes {i!r} and {j!r} have no meet")
         return got

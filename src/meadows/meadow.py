@@ -5,6 +5,11 @@ element (written ``a``), and the binary operations land at the meet of the
 two nodes after pushing both arguments down through the transition maps.
 Division is total: an element inverts at the unique maximal node where its
 image is a unit, and falls back to the error element.
+
+The operations work on (node, payload) pairs, pushed down by each
+transition's compiled map (``RingHom.fn``) and combined by the node's
+descriptor; the public methods check membership, take that path and wrap
+the result as one ``MeadowElement``.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ class PreMeadow:
     def __init__(self, dl: DirectedLattice):
         self.dl = dl
         self.lattice = dl.lattice
+        self._nodes = frozenset(self.lattice.nodes)
         self._elements: list[MeadowElement] | None = None
         self._index: CarrierIndex | None = None
 
@@ -64,8 +70,7 @@ class PreMeadow:
         return MeadowElement(node, rings.ring_value(self.dl.ring_at[node], raw))
 
     def numeral(self, n: int) -> MeadowElement:
-        top = self.lattice.top
-        return MeadowElement(top, rings.from_int(self.dl.ring_at[top], n))
+        return self._wrap(self._numeral(n))
 
     @property
     def a(self) -> MeadowElement:
@@ -81,16 +86,20 @@ class PreMeadow:
         return self.numeral(1)
 
     def contains(self, x) -> bool:
-        return (
-            isinstance(x, MeadowElement)
-            and x.node in self.lattice.nodes
-            and x.value.ring == self.dl.ring_at[x.node]
-        )
+        if not isinstance(x, MeadowElement) or x.node not in self._nodes:
+            return False
+        ring, desc = x.value.ring, self.dl.ring_at[x.node]
+        return ring is desc or ring == desc
 
-    def _member(self, x) -> MeadowElement:
+    def _pair(self, x) -> tuple:
+        """(node, payload) of a member; anything else is a ForeignElement."""
         if not self.contains(x):
             raise ForeignElement(f"{x} does not belong to this structure")
-        return x
+        return x.node, x.value.payload
+
+    def _wrap(self, pair) -> MeadowElement:
+        node, payload = pair
+        return MeadowElement(node, rings.RingValue(self.dl.ring_at[node], payload))
 
     # -- carrier ---------------------------------------------------------------
 
@@ -123,38 +132,63 @@ class PreMeadow:
             for v in rings.sample_pool(self.dl.ring_at[node])
         ]
 
+    # -- the element path on (node, payload) pairs of members -----------------
+
+    def _numeral(self, n: int) -> tuple:
+        top = self.lattice.top
+        return top, self.dl.ring_at[top].from_int(n)
+
+    def _meet(self, x, y) -> tuple:
+        """(k, p, q): the meet k of the two nodes and both payloads pushed to it."""
+        (i, p), (j, q) = x, y
+        k = self.lattice.meet(i, j)
+        if i != k:
+            p = self.dl.transition(i, k).fn(p)
+        if j != k:
+            q = self.dl.transition(j, k).fn(q)
+        return k, p, q
+
+    def _add(self, x, y) -> tuple:
+        k, p, q = self._meet(x, y)
+        return k, self.dl.ring_at[k].add(p, q)
+
+    def _mul(self, x, y) -> tuple:
+        k, p, q = self._meet(x, y)
+        return k, self.dl.ring_at[k].mul(p, q)
+
+    def _neg(self, x) -> tuple:
+        node, p = x
+        return node, self.dl.ring_at[node].neg(p)
+
+    def _zero_of(self, x) -> tuple:
+        node = x[0]
+        return node, self.dl.ring_at[node].from_int(0)
+
     # -- operations --------------------------------------------------------------
 
-    def _push(self, x: MeadowElement, node) -> rings.RingValue:
-        return rings.hom_apply(self.dl.transition(x.node, node), x.value)
-
     def add(self, x: MeadowElement, y: MeadowElement) -> MeadowElement:
-        self._member(x), self._member(y)
+        px, py = self._pair(x), self._pair(y)
         ix = self._index
         if ix is not None:
             return ix.elements[ix.add[ix.position[x]][ix.position[y]]]
-        k = self.lattice.meet(x.node, y.node)
-        return MeadowElement(k, rings.add(self._push(x, k), self._push(y, k)))
+        return self._wrap(self._add(px, py))
 
     def mul(self, x: MeadowElement, y: MeadowElement) -> MeadowElement:
-        self._member(x), self._member(y)
+        px, py = self._pair(x), self._pair(y)
         ix = self._index
         if ix is not None:
             return ix.elements[ix.mul[ix.position[x]][ix.position[y]]]
-        k = self.lattice.meet(x.node, y.node)
-        return MeadowElement(k, rings.mul(self._push(x, k), self._push(y, k)))
+        return self._wrap(self._mul(px, py))
 
     def neg(self, x: MeadowElement) -> MeadowElement:
-        self._member(x)
-        return MeadowElement(x.node, rings.neg(x.value))
+        return self._wrap(self._neg(self._pair(x)))
 
     def sub(self, x: MeadowElement, y: MeadowElement) -> MeadowElement:
         return self.add(x, self.neg(y))
 
     def zero_of(self, x: MeadowElement) -> MeadowElement:
         """The zero of the component containing x (not globally zero)."""
-        self._member(x)
-        return MeadowElement(x.node, rings.zero_value(x.value.ring))
+        return self._wrap(self._zero_of(self._pair(x)))
 
     def component_zero(self, node) -> MeadowElement:
         return MeadowElement(node, rings.zero_value(self.dl.ring_at[node]))
@@ -162,7 +196,6 @@ class PreMeadow:
     def zeros_leq(self, z: MeadowElement, z2: MeadowElement) -> bool:
         """Order on component zeros: z <= z2 iff z * z2 = z."""
         for arg in (z, z2):
-            self._member(arg)
             if arg != self.zero_of(arg):
                 raise NotAZero(f"{arg} is not a component zero")
         return self.mul(z, z2) == z
@@ -221,9 +254,14 @@ class CarrierIndex:
         """Local index at node k of the image of each value at node i."""
         key = (i, k)
         if key not in self._pushes:
-            h, local = self.meadow.dl.transition(i, k), self._rings[k].position
-            self._pushes[key] = [local[rings.hom_apply(h, v)] for v in self._values[i]]
+            fn, local = self.meadow.dl.transition(i, k).fn, self._rings[k].index
+            self._pushes[key] = [local[fn(v.payload)] for v in self._values[i]]
         return self._pushes[key]
+
+    def _locate(self, pair) -> int:
+        """Index of the element given as a (node, payload) pair."""
+        node, payload = pair
+        return self._start[node] + self._rings[node].index[payload]
 
     def span(self, node) -> range:
         """Indices of the elements at ``node``."""
@@ -252,8 +290,8 @@ class CarrierIndex:
                 rows.append(row)
         return rows
 
-    def _unary(self, ring_fn) -> list[int]:
-        return [self._start[x.node] + self._rings[x.node].position[ring_fn(x.value)] for x in self.elements]
+    def _unary(self, pair_fn) -> list[int]:
+        return [self._locate(pair_fn((x.node, x.value.payload))) for x in self.elements]
 
     @functools.cached_property
     def add(self) -> list[list[int]]:
@@ -265,15 +303,15 @@ class CarrierIndex:
 
     @functools.cached_property
     def neg(self) -> list[int]:
-        return self._unary(rings.neg)
+        return self._unary(self.meadow._neg)
 
     @functools.cached_property
     def zero_of(self) -> list[int]:
-        return self._unary(lambda v: rings.zero_value(v.ring))
+        return self._unary(self.meadow._zero_of)
 
     @functools.cached_property
     def inverse(self) -> list[int]:
-        return [self.position[self.meadow.inverse(x)] for x in self.elements]
+        return self._unary(self.meadow._inverse)
 
 
 class Meadow(PreMeadow):
@@ -283,22 +321,32 @@ class Meadow(PreMeadow):
         super().__init__(dl)
         self.status = status  # "verified" (finite, exhaustive) or "lazy"
 
+    def _units(self, x) -> dict:
+        """node -> image of the pair x there, for each node below x where it is a unit."""
+        node, p = x
+        ring_at, transition = self.dl.ring_at, self.dl.transition
+        units = {}
+        for j in self.lattice.down_set(node):
+            q = p if j == node else transition(node, j).fn(p)
+            if ring_at[j].is_unit(q):
+                units[j] = q
+        return units
+
+    def _inverse(self, x) -> tuple:
+        units = self._units(x)
+        maximal = self.lattice.maximal(units)
+        if len(maximal) != 1:
+            raise AmbiguousInverse(self._wrap(x), maximal)
+        (j,) = maximal
+        return j, self.dl.ring_at[j].inverse(units[j])
+
     def inverse_witness(self, x: MeadowElement) -> InverseWitness:
         """Nodes below x at which its image becomes a unit."""
-        self._member(x)
-        support = frozenset(
-            j
-            for j in self.lattice.down_set(x.node)
-            if rings.is_unit(self._push(x, j))
-        )
-        return InverseWitness(x, support, self.lattice.maximal(support))
+        units = self._units(self._pair(x))
+        return InverseWitness(x, frozenset(units), self.lattice.maximal(units))
 
     def inverse(self, x: MeadowElement) -> MeadowElement:
-        w = self.inverse_witness(x)
-        if len(w.maximal) != 1:
-            raise AmbiguousInverse(x, w.maximal)
-        j = next(iter(w.maximal))
-        return MeadowElement(j, rings.unit_inverse(self._push(x, j)))
+        return self._wrap(self._inverse(self._pair(x)))
 
     def div(self, x: MeadowElement, y: MeadowElement) -> MeadowElement:
         return self.mul(x, self.inverse(y))

@@ -5,9 +5,10 @@ equality is structural equality), and homs are small rule objects that can
 be applied and validated exactly.  Everything is immutable.
 
 Each descriptor class holds its ring's arithmetic as methods on raw
-payloads, and each hom rule class holds its map as ``apply``; the module
-functions check that their arguments belong together, make one call and
-wrap the result.  A new ring or map is one new class here.
+payloads, and each hom rule class compiles, once per hom, to a function on
+raw payloads (``RingHom.fn``); the module functions check that their
+arguments belong together, make one call and wrap the result.  A new ring
+or map is one new class here.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .errors import (
     DescriptorMismatch,
@@ -534,8 +536,8 @@ def enumerate_ring(desc: RingDescriptor) -> list[RingValue]:
 class FiniteTables:
     """A finite ring numbered 0..N-1 in ``enumerate_ring`` order.
 
-    ``elements[i]`` is element i and ``position`` maps each element back to
-    i; ``add`` and ``mul`` are N x N tables of element indices, each built
+    ``elements[i]`` is element i and ``index`` maps its payload back to i;
+    ``add`` and ``mul`` are N x N tables of element indices, each built
     the first time it is read by the descriptor's ``index_table``.  A
     product's order is mixed radix with the last factor fastest, so its
     tables combine the factor tables with integer arithmetic alone.
@@ -546,8 +548,8 @@ class FiniteTables:
         self.elements = enumerate_ring(desc)
 
     @functools.cached_property
-    def position(self) -> dict:
-        return {v: i for i, v in enumerate(self.elements)}
+    def index(self) -> dict:
+        return {v.payload: i for i, v in enumerate(self.elements)}
 
     @functools.cached_property
     def add(self) -> list[list[int]]:
@@ -591,9 +593,12 @@ def format_value(v: RingValue) -> str:
 class HomRule:
     """Base of the hom rules.
 
-    ``apply(h, v)`` is the image under ``h`` of ``v``, already known to lie
-    in ``h.source``.  ``injective(h)`` decides injectivity on an infinite
-    source from the rule's structure, as ``hom_injective`` reports it.
+    ``compile(h)`` returns the map of ``h`` on raw payloads: a function from
+    a payload of ``h.source`` to the payload of its image in ``h.target``,
+    which trusts its argument.  It runs once, when the ``RingHom`` is built,
+    and the hom keeps the function as ``h.fn``.  ``injective(h)`` decides
+    injectivity on an infinite source from the rule's structure, as
+    ``hom_injective`` reports it.
     """
 
     __slots__ = ()
@@ -602,10 +607,20 @@ class HomRule:
         return None, None
 
 
+def _same(p):
+    return p
+
+
+def _to_token(p):
+    return TOK
+
+
 @dataclass(frozen=True)
 class Identity(HomRule):
-    def apply(self, h, v):
-        return v
+    def compile(self, h):
+        if h.source != h.target:
+            raise DescriptorMismatch(f"{h} is not a map of one ring to itself")
+        return _same
 
     def injective(self, h):
         return True, None
@@ -618,8 +633,8 @@ class _UnitImage(HomRule):
     0 and the characteristic collide.
     """
 
-    def apply(self, h, v):
-        return RingValue(h.target, h.target.from_int(v.payload))
+    def compile(self, h):
+        return h.target.from_int
 
     def injective(self, h):
         c = h.target.characteristic()
@@ -652,13 +667,18 @@ class UnitMap(_UnitImage):
 class PolyEvalAt(HomRule):
     point: RingValue  # element of the coefficient field
 
-    def apply(self, h, v):
+    def compile(self, h):
         # Horner's rule in the coefficient field
         base, point = h.target, self.point.payload
-        acc = base.from_int(0)
-        for c in reversed(v.payload):
-            acc = base.add(base.mul(acc, point), c)
-        return RingValue(base, acc)
+        zero, add, mul = base.from_int(0), base.add, base.mul
+
+        def evaluate(p):
+            acc = zero
+            for c in reversed(p):
+                acc = add(mul(acc, point), c)
+            return acc
+
+        return evaluate
 
     def injective(self, h):
         const = ring_value(h.source, [self.point.payload])
@@ -669,8 +689,9 @@ class PolyEvalAt(HomRule):
 class ConstantEmbed(HomRule):
     """R -> R[x] as constant polynomials."""
 
-    def apply(self, h, v):
-        return ring_value(h.target, [v.payload])
+    def compile(self, h):
+        canon = h.target.canon
+        return lambda p: canon((p,))
 
     def injective(self, h):
         return True, None
@@ -680,8 +701,11 @@ class ConstantEmbed(HomRule):
 class Project(HomRule):
     index: int
 
-    def apply(self, h, v):
-        return v.payload[self.index]
+    def compile(self, h):
+        index, factors = self.index, getattr(h.source, "factors", ())
+        if not 0 <= index < len(factors) or factors[index] != h.target:
+            raise DescriptorMismatch(f"{h} does not project onto factor {index}")
+        return lambda p: p[index].payload
 
     def injective(self, h):
         # injective iff no other coordinate can vary freely
@@ -692,8 +716,12 @@ class Project(HomRule):
 class PairRule(HomRule):
     components: tuple["RingHom", ...]
 
-    def apply(self, h, v):
-        return RingValue(h.target, tuple(hom_apply(c, v) for c in self.components))
+    def compile(self, h):
+        # the components' maps trust their argument, so their sources are checked once, here
+        if any(c.source != h.source for c in self.components):
+            raise DescriptorMismatch(f"the components of {h} do not all start at {h.source}")
+        parts = tuple((c.target, c.fn) for c in self.components)
+        return lambda p: tuple(RingValue(t, fn(p)) for t, fn in parts)
 
     def injective(self, h):
         if any(hom_injective(c)[0] is True for c in self.components):
@@ -719,21 +747,46 @@ class TableRule(HomRule):
             lookup.setdefault(vin, vout)
         object.__setattr__(self, "lookup", lookup)
 
-    def apply(self, h, v):
-        try:
-            return self.lookup[v]
-        except KeyError:
-            raise TableIncomplete(f"no table entry for {v}") from None
+    def compile(self, h):
+        # payload to payload for the entries from h.source; an input whose
+        # entry lies outside h.target is refused, as adding it there would be
+        source, target, show = h.source, h.target, h.source.format
+        table, foreign = {}, {}
+        for vin, vout in self.lookup.items():
+            if vin.ring == source:
+                if vout.ring == target:
+                    table[vin.payload] = vout.payload
+                else:
+                    foreign[vin.payload] = vout
+
+        def look_up(p):
+            try:
+                return table[p]
+            except KeyError:
+                if p in foreign:
+                    raise DescriptorMismatch(f"{foreign[p]} does not belong to {target}") from None
+                raise TableIncomplete(f"no table entry for {show(p)}") from None
+
+        return look_up
 
 
 @dataclass(frozen=True)
 class ComposeRule(HomRule):
     stages: tuple["RingHom", ...]  # applied left to right
 
-    def apply(self, h, v):
-        for stage in self.stages:
-            v = hom_apply(stage, v)
-        return v
+    def compile(self, h):
+        # the stages' maps trust their argument, so the chain is checked once, here
+        starts = [stage.source for stage in self.stages] + [h.target]
+        if starts != [h.source] + [stage.target for stage in self.stages]:
+            raise DescriptorMismatch(f"the stages of {h} do not chain from {h.source} to {h.target}")
+        fns = tuple(stage.fn for stage in self.stages)
+
+        def chain(p):
+            for fn in fns:
+                p = fn(p)
+            return p
+
+        return chain
 
     def injective(self, h):
         verdicts = [hom_injective(stage)[0] for stage in self.stages]
@@ -748,8 +801,8 @@ class ComposeRule(HomRule):
 class Collapse(HomRule):
     """The unique map into the zero ring."""
 
-    def apply(self, h, v):
-        return RingValue(h.target, TOK)
+    def compile(self, h):
+        return _to_token
 
     def injective(self, h):
         return False, (zero_value(h.source), one_value(h.source))
@@ -760,6 +813,11 @@ class RingHom:
     source: RingDescriptor
     target: RingDescriptor
     rule: HomRule
+    # the rule's map on raw payloads (``HomRule.compile``), built with the hom
+    fn: Callable = field(init=False, compare=False, hash=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fn", self.rule.compile(self))
 
     def __str__(self):
         return f"{type(self.rule).__name__}: {self.source} -> {self.target}"
@@ -849,7 +907,7 @@ def collapse_hom(source: RingDescriptor) -> RingHom:
 def hom_apply(h: RingHom, v: RingValue) -> RingValue:
     if not isinstance(v, RingValue) or (v.ring is not h.source and v.ring != h.source):
         raise DescriptorMismatch(f"{v} is not in the source of {h}")
-    return h.rule.apply(h, v)
+    return RingValue(h.target, h.fn(v.payload))
 
 
 def _validation_inputs(desc: RingDescriptor, budget: int, seed: int):
@@ -926,12 +984,12 @@ def _validate_on_index(h: RingHom, src: FiniteTables, dst: FiniteTables | None) 
     else:
 
         def image_of(x):
-            k = dst.position.get(hom_apply(h, x))
+            k = dst.index.get(hom_apply(h, x).payload)
             if k is None:
                 raise _OffTarget
             return k
 
-        zero_t, one_t = 0, dst.position[one_value(h.target)]
+        zero_t, one_t = 0, dst.index[h.target.from_int(1)]
     img: list = [None] * len(elems)
 
     def image(i):
@@ -956,7 +1014,7 @@ def _validate_on_index(h: RingHom, src: FiniteTables, dst: FiniteTables | None) 
     try:
         ok = image(0) == zero_t
         report.add("preserves_zero", ok, None if ok else (zero,), checked=1)
-        ok = image(src.position[one]) == one_t
+        ok = image(src.index[one.payload]) == one_t
         report.add("preserves_one", ok, None if ok else (one,), checked=1)
         for name, table, op in (("additive", "add", add), ("multiplicative", "mul", mul)):
             bad = first_bad(getattr(src, table), dst and getattr(dst, table), op)

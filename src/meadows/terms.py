@@ -7,6 +7,9 @@ Grammar (whitespace insignificant, left associative, '^' binds tightest):
     factor := '-' factor | atom ('^' signed-int)?
     atom   := integer | 'a' | identifier | '(' expr ')'
 
+Integers are runs of decimal digits (any script's); an identifier is a run
+of letters, digits and '_' that starts with a letter or '_'.  A literal
+with more digits than Python converts is a ``TermSyntaxError``.
 The literal 'a' is the error constant and is never a variable.  Numerals
 enter at the top node.  Every well-formed closed term evaluates: division
 never fails, it lands on 'a' instead.
@@ -14,8 +17,10 @@ never fails, it lands on 'a' instead.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
+from . import rings
 from .errors import ForeignElement, ReservedIdentifier, TermSyntaxError, UnboundVariable
 from .meadow import Meadow, MeadowElement, PreMeadow
 
@@ -83,122 +88,134 @@ class Pow(Term):
 # parsing
 
 
-# Deepest term tree and parenthesis nesting the parser accepts.  The parser
-# recurses four frames per parenthesis and eval_term, format_term and the
-# law compiler one frame per tree level, so this keeps them all well inside
-# Python's default recursion limit of 1000.
+# Deepest term tree and parenthesis nesting the parser accepts.  eval_term,
+# format_term and the law compiler recurse one frame per tree level, so this
+# keeps them well inside Python's default recursion limit of 1000.
 MAX_DEPTH = 100
 
+# A token is a run of decimal digits, a run of word characters (an
+# identifier when it starts with a letter or '_'), or any other single
+# non-space character; whitespace only separates tokens.
+_TOKEN = re.compile(r"\d+|\w+|\S")
+_ADDITIVE = {"+": Add, "-": Sub}
+_MULTIPLICATIVE = {"*": Mul, "/": Div}
 
-class _Parser:
-    """Recursive descent; each rule returns (term, depth of its tree)."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.nesting = 0
+class _Fail(Exception):
+    """A syntax error at token ``index``: at its start, or its end when ``after``."""
 
-    def error(self, message: str):
-        raise TermSyntaxError(message, self.pos)
+    def __init__(self, message: str, index: int, after: bool = False):
+        self.message, self.index, self.after = message, index, after
 
-    def bounded(self, depth: int) -> int:
-        if depth > MAX_DEPTH:
-            self.error(f"expression nested deeper than {MAX_DEPTH}")
-        return depth
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _position(text: str, index: int, after: bool) -> int:
+    """Offset of the start (or end) of token ``index``; past the last, the text's end."""
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == index:
+            return m.end() if after else m.start()
+    return len(text)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
+def _integer(tok: str, index: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # more digits than Python converts (sys.get_int_max_str_digits)
+        raise _Fail(f"integer literal of {len(tok)} digits is too long", index) from None
 
-    def expr(self) -> tuple[Term, int]:
-        node, depth = self.term()
-        while True:
-            if self.take("+"):
-                cls = Add
-            elif self.take("-"):
-                cls = Sub
-            else:
-                return node, depth
-            right, right_depth = self.term()
-            node, depth = cls(node, right), self.bounded(max(depth, right_depth) + 1)
 
-    def term(self) -> tuple[Term, int]:
-        node, depth = self.factor()
-        while True:
-            if self.take("*"):
-                cls = Mul
-            elif self.take("/"):
-                cls = Div
-            else:
-                return node, depth
-            right, right_depth = self.factor()
-            node, depth = cls(node, right), self.bounded(max(depth, right_depth) + 1)
+def _too_deep(index: int, after: bool = False) -> _Fail:
+    return _Fail(f"expression nested deeper than {MAX_DEPTH}", index, after)
 
-    def factor(self) -> tuple[Term, int]:
+
+def _parse_tokens(toks: list) -> Term:
+    """Operator precedence over the token list, one loop per factor.
+
+    ``expr``/``term`` hold the finished part of the sum and of the product
+    at the current parenthesis level, each as (pending operator class, left
+    operand, its depth) or None; an open parenthesis saves them (and the
+    minus signs before it) on ``stack``.  Depth checks and errors come in
+    the order of the grammar's left-to-right reading.
+    """
+    n = len(toks)
+    toks = toks + [""]  # the end of input reads as ""
+    i = 0
+    stack: list = []
+    expr = term = None
+    while True:
         negations = 0
-        while self.take("-"):
+        while toks[i] == "-":
             negations += 1
-        node, depth = self.atom()
-        if self.take("^"):
-            node, depth = Pow(node, self.signed_int()), depth + 1
-        for _ in range(negations):
-            node = Neg(node)
-        return node, self.bounded(depth + negations)
-
-    def signed_int(self) -> int:
-        self.skip_ws()
-        sign = -1 if self.take("-") else 1
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer exponent")
-        return sign * int(self.text[start : self.pos])
-
-    def atom(self) -> tuple[Term, int]:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            self.nesting = self.bounded(self.nesting + 1)
-            node = self.expr()
-            if not self.take(")"):
-                self.error("expected ')'")
-            self.nesting -= 1
-            return node
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return Numeral(int(self.text[start : self.pos])), 1
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start : self.pos]
-            return (ErrorConst() if name == "a" else Var(name)), 1
-        self.error("expected a number, variable, 'a' or '('")
+            i += 1
+        tok = toks[i]
+        if tok == "(":
+            if len(stack) >= MAX_DEPTH:
+                raise _too_deep(i, after=True)
+            stack.append((expr, term, negations))
+            expr = term = None
+            i += 1
+            continue
+        c = tok[:1]
+        if c.isdecimal():
+            node, depth = Numeral(_integer(tok, i)), 1
+        elif c.isalpha() or c == "_":
+            node, depth = (ErrorConst() if tok == "a" else Var(tok)), 1
+        else:
+            raise _Fail("expected a number, variable, 'a' or '('", i)
+        i += 1
+        while True:  # the factor's atom is done: close the factor, then the levels it ends
+            at, after = i, False  # where the factor ends: the next token's start
+            if toks[i] == "^":
+                i, sign = i + 1, 1
+                if toks[i] == "-":
+                    i, sign = i + 1, -1
+                if not toks[i][:1].isdecimal():
+                    raise _Fail("expected an integer exponent", i)
+                node, depth = Pow(node, sign * _integer(toks[i], i)), depth + 1
+                at, after = i, True  # or right after the exponent's digits
+                i += 1
+            for _ in range(negations):
+                node = Neg(node)
+            depth += negations
+            if term is not None:
+                cls, left, left_depth = term
+                node, depth = cls(left, node), max(left_depth, depth) + 1
+            # one check for the factor and the product: the product is the deeper
+            if depth > MAX_DEPTH:
+                raise _too_deep(at, after)
+            tok = toks[i]
+            cls = _MULTIPLICATIVE.get(tok)
+            if cls is not None:
+                term = cls, node, depth
+                i += 1
+                break
+            term = None
+            if expr is not None:
+                cls, left, left_depth = expr
+                node, depth = cls(left, node), max(left_depth, depth) + 1
+                if depth > MAX_DEPTH:
+                    raise _too_deep(i)
+            cls = _ADDITIVE.get(tok)
+            if cls is not None:
+                expr = cls, node, depth
+                i += 1
+                break
+            expr = None
+            if not stack:
+                if i < n:
+                    raise _Fail("unexpected trailing input", i)
+                return node
+            if tok != ")":
+                raise _Fail("expected ')'", i)
+            i += 1
+            expr, term, negations = stack.pop()  # the parenthesized expr is an atom
 
 
 def parse(text: str) -> Term:
-    p = _Parser(text)
-    node, _depth = p.expr()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("unexpected trailing input")
-    return node
+    toks = _TOKEN.findall(text)
+    try:
+        return _parse_tokens(toks)
+    except _Fail as fail:
+        raise TermSyntaxError(fail.message, _position(text, fail.index, fail.after)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -218,37 +235,52 @@ def bind_env(meadow: PreMeadow, bindings: dict) -> dict[str, MeadowElement]:
 
 
 def eval_term(t: Term, meadow: PreMeadow, env: dict | None = None) -> MeadowElement:
-    """Total evaluation; unbound variables are the only failure mode."""
+    """Total evaluation; unbound variables are the only failure mode.
+
+    The tree is walked on the meadow's (node, payload) pairs, and only the
+    result becomes a ``MeadowElement``.  A bound variable is checked for
+    membership the first time it is read.
+    """
     env = env or {}
-    if isinstance(t, Numeral):
-        return meadow.numeral(t.n)
-    if isinstance(t, ErrorConst):
-        return meadow.a
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise UnboundVariable(f"variable {t.name!r} has no binding")
-        return env[t.name]
-    if isinstance(t, Add):
-        return meadow.add(eval_term(t.left, meadow, env), eval_term(t.right, meadow, env))
-    if isinstance(t, Sub):
-        return meadow.add(eval_term(t.left, meadow, env), meadow.neg(eval_term(t.right, meadow, env)))
-    if isinstance(t, Mul):
-        return meadow.mul(eval_term(t.left, meadow, env), eval_term(t.right, meadow, env))
-    if isinstance(t, Div):
-        return meadow.mul(eval_term(t.left, meadow, env), meadow.inverse(eval_term(t.right, meadow, env)))
-    if isinstance(t, Neg):
-        return meadow.neg(eval_term(t.arg, meadow, env))
-    if isinstance(t, Inv):
-        return meadow.inverse(eval_term(t.arg, meadow, env))
-    if isinstance(t, Pow):
-        base = eval_term(t.base, meadow, env)
-        if t.exponent == 0:
-            # x^0 keeps the component information: 1 + 0*x
-            return meadow.add(meadow.one, meadow.zero_of(base))
-        if t.exponent < 0:
-            return _power(meadow.mul, meadow.inverse(base), -t.exponent)
-        return _power(meadow.mul, base, t.exponent)
-    raise TypeError(f"not a term: {t!r}")
+    add, mul, neg = meadow._add, meadow._mul, meadow._neg
+    read: dict = {}
+
+    def walk(t):
+        cls = t.__class__
+        if cls is Add:
+            return add(walk(t.left), walk(t.right))
+        if cls is Mul:
+            return mul(walk(t.left), walk(t.right))
+        if cls is Var:
+            pair = read.get(t.name)
+            if pair is None:
+                if t.name not in env:
+                    raise UnboundVariable(f"variable {t.name!r} has no binding")
+                pair = read[t.name] = meadow._pair(env[t.name])
+            return pair
+        if cls is Numeral:
+            return meadow._numeral(t.n)
+        if cls is Sub:
+            return add(walk(t.left), neg(walk(t.right)))
+        if cls is Div:
+            return mul(walk(t.left), meadow._inverse(walk(t.right)))
+        if cls is Neg:
+            return neg(walk(t.arg))
+        if cls is Inv:
+            return meadow._inverse(walk(t.arg))
+        if cls is ErrorConst:
+            return meadow.lattice.bottom, rings.TOK
+        if cls is Pow:
+            base, n = walk(t.base), t.exponent
+            if n == 0:
+                # x^0 keeps the component information: 1 + 0*x
+                return add(meadow._numeral(1), meadow._zero_of(base))
+            if n < 0:
+                base, n = meadow._inverse(base), -n
+            return _power(mul, base, n)
+        raise TypeError(f"not a term: {t!r}")
+
+    return meadow._wrap(walk(t))
 
 
 def _power(mul, x, n: int):

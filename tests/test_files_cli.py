@@ -366,3 +366,31 @@ def test_cli_json_reports_an_oversized_integer_in_a_file_as_one_error(tmp_path, 
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ParseError"
+
+
+# text that int() refused inside the parser: a digit that is not decimal,
+# or a literal or exponent past Python's int/str conversion limit
+BAD_LITERALS = {
+    "superscript_digit": ("²", 0),
+    "superscript_exponent": ("2^²", 2),
+    "huge_literal": ("1 + " + HUGE, 4),
+    "huge_exponent": ("2^-" + HUGE, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LITERALS))
+def test_cli_json_reports_a_bad_literal_as_one_syntax_error(name):
+    text, position = BAD_LITERALS[name]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "meadows", "--json", "eval", "lattices/z.json", text],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "TermSyntaxError"
+    assert error["detail"].endswith(f"(at position {position})")

@@ -145,10 +145,10 @@ MUTATED = {
     "into_polynomials_missing": table(Z3, rings.Poly(Z3), [(0, []), (2, [2])]),
     "into_rationals_missing": table(Z2, rings.Q, [(0, 0)]),
     "into_zero_ring": rings.collapse_hom(Z2Z2),
+    # tables with images outside the target: the lookup refuses them, so both raise DescriptorMismatch
     "images_outside_the_target": rings.RingHom(
         Z2, Z2, rings.TableRule(((v(Z2, 0), v(Z3, 0)), (v(Z2, 1), v(Z3, 1))))
     ),
-    # the reference's add refuses the Z6 image: both raise DescriptorMismatch
     "some_images_outside_the_target": rings.RingHom(
         Z3, Z3, rings.TableRule(((v(Z3, 0), v(Z3, 0)), (v(Z3, 1), v(Z3, 1)), (v(Z3, 2), v(Z6, 2))))
     ),

@@ -46,6 +46,15 @@ def test_meet_examples():
     assert F.lattice.meet("f1", "f2") == "f3"
 
 
+def test_meet_of_an_unknown_node_raises_before_and_after_caching():
+    L = diamond()
+    for _ in range(2):
+        assert L.meet("l", "r") == "bot"
+        for pair in (("l", "nowhere"), ("nowhere", "l"), ("nowhere", "nowhere")):
+            with pytest.raises(UnknownNode):
+                L.meet(*pair)
+
+
 def test_meet_identities_exhaustive():
     for L in (chain3(), diamond(), corpus.field_diamond().lattice):
         for i, j in itertools.product(L.nodes, repeat=2):

@@ -4,7 +4,7 @@ import pytest
 
 from meadows import rings
 from meadows.errors import AmbiguousInverse, ForeignElement, InfiniteCarrier, NotAZero
-from meadows.meadow import build_meadow, build_premeadow
+from meadows.meadow import MeadowElement, build_meadow, build_premeadow
 from meadows.morphisms import adjoin_error
 
 import corpus
@@ -142,6 +142,16 @@ def test_zeros_leq_agrees_with_lattice_order(M6):
 def test_foreign_element_rejected(N, M6):
     with pytest.raises(ForeignElement):
         N.add(N.element("n0", 1), M6.element("top", 1))
+
+
+def test_contains_checks_node_and_ring(N, M6):
+    assert N.contains(N.element("n1", "1/2")) and not N.contains(M6.one)
+    # a known node carrying another ring, an unknown node, and a non-element
+    assert not N.contains(MeadowElement("n0", rings.ring_value(rings.Q, 1)))
+    assert not N.contains(MeadowElement("nowhere", rings.ring_value(rings.Z, 1)))
+    assert not N.contains(("n0", 1))
+    # equal descriptors that are different objects still match
+    assert N.contains(MeadowElement("n0", rings.ring_value(rings.Integers(), 3)))
 
 
 def test_product_inverse_examples():

@@ -210,17 +210,17 @@ def test_enumerate_infinite_raises():
 
 
 def brute_force_tables(desc):
-    """(elements, position, add, mul) from enumerate_ring and the value operations."""
+    """(elements, index, add, mul) from enumerate_ring and the value operations."""
     elems = rings.enumerate_ring(desc)
     position = {x: i for i, x in enumerate(elems)}
     add = [[position[rings.add(x, y)] for y in elems] for x in elems]
     mul = [[position[rings.mul(x, y)] for y in elems] for x in elems]
-    return elems, position, add, mul
+    return elems, {x.payload: i for x, i in position.items()}, add, mul
 
 
 def assert_tables_match(desc):
     t = rings.FiniteTables(desc)
-    assert (t.elements, t.position, t.add, t.mul) == brute_force_tables(desc)
+    assert (t.elements, t.index, t.add, t.mul) == brute_force_tables(desc)
 
 
 TABLE_DESCRIPTORS = (
@@ -460,6 +460,41 @@ def test_table_rule_equality_hash_and_repr_ignore_the_lookup():
     assert a == b and hash(a) == hash(b)
     assert "lookup" not in repr(a.rule)
     assert a.rule.lookup == dict(a.rule.graph)
+
+
+def test_ring_hom_equality_hash_and_repr_ignore_the_compiled_map():
+    a, b = rings.pair_hom([rings.reduce_mod(6), rings.include_rationals()]), rings.pair_hom(
+        [rings.reduce_mod(6), rings.include_rationals()]
+    )
+    assert a.fn is not b.fn
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "fn" not in repr(a)
+
+
+def test_table_refuses_an_image_outside_its_target_and_ignores_foreign_inputs():
+    graph = ((v(Z3, 0), v(Z3, 0)), (v(Z3, 1), v(Z6, 1)), (v(Z6, 2), v(Z3, 2)))
+    h = rings.RingHom(Z3, Z3, rings.TableRule(graph))
+    assert rings.hom_apply(h, v(Z3, 0)) == v(Z3, 0)
+    with pytest.raises(DescriptorMismatch, match="^1 does not belong to Z3$"):
+        rings.hom_apply(h, v(Z3, 1))
+    with pytest.raises(TableIncomplete, match="^no table entry for 2$"):
+        rings.hom_apply(h, v(Z3, 2))
+
+
+def test_hand_built_homs_whose_map_trusts_its_endpoints_are_checked_when_built():
+    # each would otherwise label a payload of one ring as an element of another
+    with pytest.raises(DescriptorMismatch, match="to itself"):
+        rings.RingHom(rings.Z, rings.Q, rings.Identity())
+    with pytest.raises(DescriptorMismatch, match="onto factor 1"):
+        rings.RingHom(rings.Product((Z2, Z3)), Z2, rings.Project(1))
+    with pytest.raises(DescriptorMismatch, match="onto factor 0"):
+        rings.RingHom(Z6, Z2, rings.Project(0))
+    with pytest.raises(DescriptorMismatch, match="do not chain"):
+        rings.RingHom(rings.Z, Z3, rings.ComposeRule((rings.reduce_mod(6), rings.mod_to_mod(4, 2))))
+    with pytest.raises(DescriptorMismatch, match="do not chain"):
+        rings.RingHom(rings.Z, Z3, rings.ComposeRule((rings.reduce_mod(6), rings.mod_to_mod(6, 2))))
+    with pytest.raises(DescriptorMismatch, match="do not all start"):
+        rings.RingHom(rings.Z, rings.Product((Z2, Z3)), rings.PairRule((rings.reduce_mod(2), rings.mod_to_mod(6, 3))))
 
 
 VALIDATE_CASES = {

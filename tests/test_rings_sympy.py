@@ -5,6 +5,14 @@ Q is checked against ``sympy.Rational``, Z_n against ``sympy.igcd`` and
 GF(p), and product rings coordinatewise against the oracles of their
 factors.  Each case builds its operands twice from the same raw data, as
 ring values and as sympy objects, and compares the results as payloads.
+
+Hom application (``rings.hom_apply``, which runs each rule's compiled map)
+is checked the same way, rule by rule: reductions and unit maps against
+``%`` on ``sympy.Integer``, the inclusion of Z against ``sympy.Rational``,
+evaluation against ``sympy.Poly.eval`` over QQ and GF(p), the constant
+embedding, projections and pairings coordinate by coordinate, tables
+against the dict they were built from, and chains of ``compose_homs``
+against the composite of their stages' oracles.
 """
 
 from __future__ import annotations
@@ -167,3 +175,118 @@ def test_polynomials_match_sympy_poly_over_qq_and_gf_p(oracle, data):
 @given(PRODUCTS, st.data())
 def test_products_match_their_factors_coordinatewise(oracle, data):
     assert_matches_oracle(oracle, data)
+
+
+# ---------------------------------------------------------------------------
+# hom application
+
+INTEGERS = st.integers(-10**6, 10**6)
+MODULI = st.integers(2, 60)
+
+
+def image(h, desc, raw):
+    """Payload of the image under ``h`` of the element of ``desc`` built from ``raw``."""
+    return rings.hom_apply(h, rings.ring_value(desc, raw)).payload
+
+
+@settings(deadline=None)
+@given(MODULI, INTEGERS)
+def test_reductions_and_unit_maps_out_of_z_match_sympy_mod(n, raw):
+    want = int(sympy.Integer(raw) % n)
+    assert image(rings.reduce_mod(n), rings.Z, raw) == want
+    assert image(rings.unit_map(rings.Mod(n)), rings.Z, raw) == want
+
+
+@settings(deadline=None)
+@given(MODULI, MODULI, INTEGERS)
+def test_reduce_mod_div_matches_sympy_mod(m, k, raw):
+    n = m * k
+    assert image(rings.mod_to_mod(n, m), rings.Mod(n), raw) == int(sympy.Integer(raw) % n % m)
+
+
+@settings(deadline=None)
+@given(INTEGERS)
+def test_inclusion_of_z_and_unit_map_into_q_match_sympy_rational(raw):
+    want = RationalOracle().lower(sympy.Rational(raw))
+    assert image(rings.include_rationals(), rings.Z, raw) == want
+    assert image(rings.unit_map(rings.Q), rings.Z, raw) == want
+
+
+@settings(deadline=None)
+@given(POLYS, st.data())
+def test_evaluation_matches_sympy_poly_eval(oracle, data):
+    raw, point = data.draw(oracle.raw), data.draw(oracle.coeff.raw)
+    h = rings.poly_eval_at(oracle.desc, point)
+    value = oracle.lift(raw).eval(oracle.coeff.lift(point))
+    assert image(h, oracle.desc, raw) == oracle.coeff.lower(value)
+
+
+@settings(deadline=None)
+@given(POLYS, st.data())
+def test_constant_embedding_matches_a_constant_sympy_poly(oracle, data):
+    raw = data.draw(oracle.coeff.raw)
+    want = oracle.lower(sympy.Poly(oracle.coeff.lift(raw), X, **oracle.domain))
+    assert image(rings.constant_embed(oracle.desc), oracle.desc.base, raw) == want
+
+
+@settings(deadline=None)
+@given(PRODUCTS, st.data())
+def test_projections_match_the_factor_oracles(oracle, data):
+    raw = data.draw(oracle.raw)
+    for k, factor in enumerate(oracle.factors):
+        got = image(rings.project(oracle.desc, k), oracle.desc, raw)
+        assert got == factor.lower(factor.lift(raw[k]))
+
+
+@settings(deadline=None)
+@given(st.lists(MODULI, min_size=1, max_size=4), st.booleans(), INTEGERS)
+def test_pairings_match_their_components_coordinatewise(moduli, with_q, raw):
+    components = [rings.reduce_mod(n) for n in moduli] + ([rings.include_rationals()] if with_q else [])
+    got = image(rings.pair_hom(components), rings.Z, raw)
+    want = [int(sympy.Integer(raw) % n) for n in moduli] + ([Fraction(raw)] if with_q else [])
+    assert [c.payload for c in got] == want
+    assert [c.ring for c in got] == [h.target for h in components]
+
+
+@settings(deadline=None)
+@given(MODULI, MODULI, st.data())
+def test_tables_match_the_mapping_they_were_built_from(n, m, data):
+    mapping = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    h = rings.table_hom(rings.Mod(n), rings.Mod(m), enumerate(mapping))
+    assert [image(h, rings.Mod(n), k) for k in range(n)] == mapping
+
+
+@settings(deadline=None)
+@given(POLYS, st.data())
+def test_identity_and_collapse(oracle, data):
+    raw = data.draw(oracle.raw)
+    assert image(rings.identity_hom(oracle.desc), oracle.desc, raw) == oracle.lower(oracle.lift(raw))
+    assert image(rings.collapse_hom(oracle.desc), oracle.desc, raw) == rings.TOK
+
+
+@settings(deadline=None)
+@given(MODULI, MODULI, MODULI, INTEGERS)
+def test_chains_of_reductions_match_sympy_mod(a, b, c, raw):
+    # Z -> Z_abc -> Z_ab -> Z_a, and the same through a pairing and a projection
+    n = a * b * c
+    chain = rings.compose_homs(rings.reduce_mod(n), rings.mod_to_mod(n, a * b), rings.mod_to_mod(a * b, a))
+    assert image(chain, rings.Z, raw) == int(sympy.Integer(raw) % a)
+    pair = rings.pair_hom([rings.reduce_mod(n), rings.include_rationals()])
+    for k, want in enumerate((int(sympy.Integer(raw) % n), RationalOracle().lower(sympy.Rational(raw)))):
+        assert image(rings.compose_homs(pair, rings.project(pair.target, k)), rings.Z, raw) == want
+
+
+@settings(deadline=None)
+@given(POLYS, st.data())
+def test_chains_through_polynomials_match_sympy_poly(oracle, data):
+    # F -> F[x] -> F is the identity; F[x] -> F -> F[x] keeps the value at the point
+    coeff, point, raw = data.draw(oracle.coeff.raw), data.draw(oracle.coeff.raw), data.draw(oracle.raw)
+    embed, at = rings.constant_embed(oracle.desc), rings.poly_eval_at(oracle.desc, point)
+    base = oracle.desc.base
+    assert image(rings.compose_homs(embed, at), base, coeff) == oracle.coeff.lower(oracle.coeff.lift(coeff))
+    value = oracle.lift(raw).eval(oracle.coeff.lift(point))
+    want = oracle.lower(sympy.Poly(value, X, **oracle.domain))
+    assert image(rings.compose_homs(at, embed), oracle.desc, raw) == want
+    if base == rings.Q:
+        chain = rings.compose_homs(rings.include_rationals(), embed, at)
+        assert image(chain, rings.Z, 7) == Fraction(7)
