@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from . import rings
-from .errors import NotComparable, UnknownNode
+from .errors import DescriptorMismatch, NotComparable, UnknownNode
 from .report import ValidationReport
 
 
@@ -166,7 +166,8 @@ class DirectedLattice:
         The path follows, from each node, its first cover lower (by
         ``node_key``) above j; a transition is the first edge composed with
         the cached transition from that cover, and every transition computed
-        on the way down is cached.
+        on the way down is cached.  An edge whose hom does not run between
+        the rings of its two nodes raises ``DescriptorMismatch``.
         """
         hom = self._transitions.get((i, j))
         if hom is not None:
@@ -188,6 +189,12 @@ class DirectedLattice:
             current = nxt
         for current, nxt in reversed(path):
             edge = self.edge_homs[(current, nxt)]
+            if edge.source != self.ring_at[current] or edge.target != self.ring_at[nxt]:
+                # the pushes apply the edge's map to payloads of these two rings
+                raise DescriptorMismatch(
+                    f"the hom on ({current!r}, {nxt!r}) is {edge}, not a map "
+                    f"{self.ring_at[current]} -> {self.ring_at[nxt]}"
+                )
             hom = rings.compose_homs(edge) if nxt == j else rings.compose_homs(edge, self._transitions[(nxt, j)])
             self._transitions[(current, j)] = hom
         return hom

@@ -237,13 +237,19 @@ def bind_env(meadow: PreMeadow, bindings: dict) -> dict[str, MeadowElement]:
 def eval_term(t: Term, meadow: PreMeadow, env: dict | None = None) -> MeadowElement:
     """Total evaluation; unbound variables are the only failure mode.
 
-    The tree is walked on the meadow's (node, payload) pairs, and only the
-    result becomes a ``MeadowElement``.  A bound variable is checked for
-    membership the first time it is read.
+    The tree is walked on the meadow's (node, payload) pairs; only the
+    result, and each operand of an inversion (``Meadow.inverse``), becomes
+    a ``MeadowElement``.  A bound variable is checked for membership the
+    first time it is read.
     """
     env = env or {}
     add, mul, neg = meadow._add, meadow._mul, meadow._neg
     read: dict = {}
+
+    def inverse(pair):
+        # through the public inverse: one wrap, and one Meadow.inverse call, per inversion
+        y = meadow.inverse(meadow._wrap(pair))
+        return y.node, y.value.payload
 
     def walk(t):
         cls = t.__class__
@@ -263,11 +269,11 @@ def eval_term(t: Term, meadow: PreMeadow, env: dict | None = None) -> MeadowElem
         if cls is Sub:
             return add(walk(t.left), neg(walk(t.right)))
         if cls is Div:
-            return mul(walk(t.left), meadow._inverse(walk(t.right)))
+            return mul(walk(t.left), inverse(walk(t.right)))
         if cls is Neg:
             return neg(walk(t.arg))
         if cls is Inv:
-            return meadow._inverse(walk(t.arg))
+            return inverse(walk(t.arg))
         if cls is ErrorConst:
             return meadow.lattice.bottom, rings.TOK
         if cls is Pow:
@@ -276,7 +282,7 @@ def eval_term(t: Term, meadow: PreMeadow, env: dict | None = None) -> MeadowElem
                 # x^0 keeps the component information: 1 + 0*x
                 return add(meadow._numeral(1), meadow._zero_of(base))
             if n < 0:
-                base, n = meadow._inverse(base), -n
+                base, n = inverse(base), -n
             return _power(mul, base, n)
         raise TypeError(f"not a term: {t!r}")
 

@@ -3,7 +3,8 @@
 import pytest
 
 from meadows import axioms, rings
-from meadows.errors import InfiniteCarrier
+from meadows.errors import DescriptorMismatch, InfiniteCarrier
+from meadows.lattice import dl_validate
 from meadows.meadow import build_meadow, build_premeadow
 from meadows.morphisms import adjoin_error
 
@@ -160,6 +161,17 @@ def test_find_counterexample_broken_square_distributivity():
     lhs = m.mul(x, m.add(y, z))
     rhs = m.add(m.mul(x, y), m.mul(x, z))
     assert lhs != rhs
+
+
+def test_find_counterexample_refuses_an_edge_hom_into_the_wrong_ring():
+    # the edge n0 -> n1 lands in Z2 while n1 carries Z3: Z2 payloads would pass for Z3 elements
+    dl = corpus.chain(rings.Mod(6), rings.mod_to_mod(6, 2), rings.Mod(3))
+    assert [c.note for c in dl_validate(dl).checks if not c.passed] == ["endpoint mismatch"]
+    with pytest.raises(DescriptorMismatch, match=r"^the hom on \('n0', 'n1'\) is .* not a map Z6 -> Z3$"):
+        axioms.find_counterexample(dl, "PM8")
+    m = build_premeadow(dl, validate=False)
+    with pytest.raises(DescriptorMismatch):
+        m.add(m.element("n0", 1), m.element("n1", 1))
 
 
 def test_report_serialization_shapes():

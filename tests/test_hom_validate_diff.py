@@ -19,6 +19,7 @@ import pytest
 
 from meadows import rings
 from meadows.enumeration import enumerate_ring_homs
+from meadows.errors import DescriptorMismatch
 from meadows.latfile import lattice_from_dict
 from meadows.report import ValidationReport
 
@@ -59,6 +60,8 @@ def reference_hom_validate(h: rings.RingHom, budget: int = 64, seed: int = 0) ->
             report.add(name, bad is None, bad, checked=len(pairs), sampled=not exhaustive)
     except rings.TableIncomplete as exc:
         report.add("table_covers_source", False, (str(exc),))
+    except DescriptorMismatch as exc:
+        report.add("images_in_target", False, (str(exc),))
     return report
 
 
@@ -145,7 +148,7 @@ MUTATED = {
     "into_polynomials_missing": table(Z3, rings.Poly(Z3), [(0, []), (2, [2])]),
     "into_rationals_missing": table(Z2, rings.Q, [(0, 0)]),
     "into_zero_ring": rings.collapse_hom(Z2Z2),
-    # tables with images outside the target: the lookup refuses them, so both raise DescriptorMismatch
+    # tables with images outside the target: the lookup refuses them, and both reports end there
     "images_outside_the_target": rings.RingHom(
         Z2, Z2, rings.TableRule(((v(Z2, 0), v(Z3, 0)), (v(Z2, 1), v(Z3, 1))))
     ),
@@ -158,6 +161,20 @@ MUTATED = {
 @pytest.mark.parametrize("name", sorted(MUTATED))
 def test_mutated_tables_match_the_reference(name):
     assert_same_report(MUTATED[name])
+
+
+def test_images_outside_the_target_are_reported_not_raised():
+    whole = rings.hom_validate(MUTATED["images_outside_the_target"])
+    assert [(c.name, c.passed, c.witness) for c in whole.checks] == [
+        ("images_in_target", False, ("the image 0 of 0 lies in Z3, not in Z2",))
+    ]
+    some = rings.hom_validate(MUTATED["some_images_outside_the_target"])
+    assert [(c.name, c.passed) for c in some.checks] == [
+        ("preserves_zero", True),
+        ("preserves_one", True),
+        ("images_in_target", False),
+    ]
+    assert some.checks[-1].witness == ("the image 2 of 2 lies in Z6, not in Z3",)
 
 
 def test_mutated_reports_name_the_first_missing_input():

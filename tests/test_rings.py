@@ -454,12 +454,12 @@ def test_table_missing_entry_message():
         rings.hom_apply(h, v(Z3, 2))
 
 
-def test_table_rule_equality_hash_and_repr_ignore_the_lookup():
+def test_table_rule_is_its_graph_and_the_compiled_map_reads_it():
     a = rings.table_hom(Z2, Z2, [(0, 0), (1, 1)])
     b = rings.table_hom(Z2, Z2, [(1, 1), (0, 0)])
-    assert a == b and hash(a) == hash(b)
-    assert "lookup" not in repr(a.rule)
-    assert a.rule.lookup == dict(a.rule.graph)
+    assert a == b and hash(a) == hash(b) and repr(a.rule) == repr(b.rule)
+    assert [f.name for f in dataclasses.fields(a.rule)] == ["graph"]
+    assert [(x, rings.hom_apply(a, x)) for x, _ in a.rule.graph] == list(a.rule.graph)
 
 
 def test_ring_hom_equality_hash_and_repr_ignore_the_compiled_map():
@@ -475,26 +475,27 @@ def test_table_refuses_an_image_outside_its_target_and_ignores_foreign_inputs():
     graph = ((v(Z3, 0), v(Z3, 0)), (v(Z3, 1), v(Z6, 1)), (v(Z6, 2), v(Z3, 2)))
     h = rings.RingHom(Z3, Z3, rings.TableRule(graph))
     assert rings.hom_apply(h, v(Z3, 0)) == v(Z3, 0)
-    with pytest.raises(DescriptorMismatch, match="^1 does not belong to Z3$"):
+    with pytest.raises(DescriptorMismatch, match="^the image 1 of 1 lies in Z6, not in Z3$"):
         rings.hom_apply(h, v(Z3, 1))
     with pytest.raises(TableIncomplete, match="^no table entry for 2$"):
         rings.hom_apply(h, v(Z3, 2))
 
 
-def test_hand_built_homs_whose_map_trusts_its_endpoints_are_checked_when_built():
-    # each would otherwise label a payload of one ring as an element of another
+def test_a_hand_built_identity_between_two_rings_is_refused_when_built():
+    # its map returns the payload unchanged, which would label an integer as a rational
     with pytest.raises(DescriptorMismatch, match="to itself"):
         rings.RingHom(rings.Z, rings.Q, rings.Identity())
-    with pytest.raises(DescriptorMismatch, match="onto factor 1"):
-        rings.RingHom(rings.Product((Z2, Z3)), Z2, rings.Project(1))
-    with pytest.raises(DescriptorMismatch, match="onto factor 0"):
-        rings.RingHom(Z6, Z2, rings.Project(0))
-    with pytest.raises(DescriptorMismatch, match="do not chain"):
-        rings.RingHom(rings.Z, Z3, rings.ComposeRule((rings.reduce_mod(6), rings.mod_to_mod(4, 2))))
-    with pytest.raises(DescriptorMismatch, match="do not chain"):
-        rings.RingHom(rings.Z, Z3, rings.ComposeRule((rings.reduce_mod(6), rings.mod_to_mod(6, 2))))
-    with pytest.raises(DescriptorMismatch, match="do not all start"):
-        rings.RingHom(rings.Z, rings.Product((Z2, Z3)), rings.PairRule((rings.reduce_mod(2), rings.mod_to_mod(6, 3))))
+
+
+def test_factories_refuse_homs_that_do_not_fit_together():
+    with pytest.raises(ValueError, match="no factor 2"):
+        rings.project(rings.Product((Z2, Z3)), 2)
+    with pytest.raises(ValueError, match="share a source"):
+        rings.pair_hom([rings.reduce_mod(2), rings.mod_to_mod(6, 3)])
+    with pytest.raises(ValueError, match="cannot chain"):
+        rings.compose_homs(rings.reduce_mod(6), rings.mod_to_mod(4, 2))
+    with pytest.raises(ValueError, match="cannot chain"):
+        rings.compose_homs(rings.reduce_mod(6), rings.identity_hom(Z3), rings.mod_to_mod(6, 2))
 
 
 VALIDATE_CASES = {
