@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from . import rings
 from .errors import InfiniteCarrier
-from .meadow import CarrierIndex, Meadow, PreMeadow
+from .meadow import Meadow, PreMeadow
 from .report import EXHAUSTIVE, AxiomReport, LawResult, sampled
 from .terms import (
     Add,
@@ -174,41 +174,57 @@ def _suite_needs_inverse(laws) -> bool:
     return any(l.needs_inverse for l in laws)
 
 
-def _unit_locus(pool, zero_of, inverse) -> list:
-    """Elements whose component zero matches their inverse's component zero."""
-    return [x for x in pool if zero_of(x) == zero_of(inverse(x))]
+class _Memo(dict):
+    """A table whose entry for a key is ``fn(key)``, computed the first time it is read."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-# A scan takes an iterable of variable tuples (in ``Law.variables`` order)
-# and returns (tuples checked, first failing tuple or None).
+class _PairTables:
+    """The tables of a ``CarrierIndex`` over (node, payload) pairs: each entry
+    is the meadow's pair operation, memoised for one ``check_axioms`` call."""
+
+    def __init__(self, m: PreMeadow):
+        self.add = _Memo(lambda x: _Memo(functools.partial(m._add, x)))
+        self.mul = _Memo(lambda x: _Memo(functools.partial(m._mul, x)))
+        self.neg = _Memo(m._neg)
+        self.zero_of = _Memo(m._zero_of)
+        self.inverse = _Memo(lambda x: m._inverse(x))  # late-bound: a pre-meadow has no _inverse
 
 
-def _element_scan(l: Law, m: PreMeadow):
-    def holds(env) -> bool:
-        if any(
-            (eval_term(p_lhs, m, env) == eval_term(p_rhs, m, env)) != want
-            for p_lhs, p_rhs, want in l.premises
-        ):
-            return True
-        return any(eval_term(lhs, m, env) == eval_term(rhs, m, env) for lhs, rhs in l.alternatives)
+def _carrier(m: PreMeadow):
+    """(tables, pool, key, element): what the compiled scans of m read.
 
-    def scan(tuples):
-        checked = 0
-        for checked, combo in enumerate(tuples, 1):
-            if not holds(dict(zip(l.variables, combo))):
-                return checked, combo
-        return checked, None
-
-    return scan
+    A finite carrier with a certified inverse reads its ``CarrierIndex``,
+    with element indices as keys.  Any other carrier reads ``_PairTables``,
+    with (node, payload) pairs as keys, so an uncertified inverse raises
+    ``AmbiguousInverse`` at the first tuple that meets it.  ``key`` maps an
+    element to its key and ``element`` maps a key back.
+    """
+    if m.is_finite() and not (isinstance(m, Meadow) and m.status != "verified"):
+        ix = m.freeze_tables()
+        return ix, list(range(len(ix.elements))), ix.position.__getitem__, ix.elements.__getitem__
+    return _PairTables(m), [m._pair(x) for x in m.probe_pool()], m._pair, m._wrap
 
 
 @functools.cache
 def _compile(l: Law):
-    """(make_scan, tables read, closed terms read) for the law on index tables.
+    """(make_scan, tables read, closed terms read) for the law.
 
     ``make_scan(**tables, power=..., c0=..., ...)`` returns a scan whose
     condition is the law inlined as table lookups: a tuple passes when a
-    premise is unmet or an alternative holds.
+    premise is unmet or an alternative holds.  The scan takes an iterable
+    of variable tuples (in ``Law.variables`` order) and returns (tuples
+    checked, first failing tuple or None).  The tables are a
+    ``CarrierIndex`` or ``_PairTables`` (``_carrier``); premises, then
+    alternatives, short-circuit left to right, and each lookup evaluates
+    its left operand first, as ``eval_term`` does.
     """
     names = {v: f"v{k}" for k, v in enumerate(l.variables)}
     constants: list[Term] = []
@@ -267,15 +283,15 @@ def _compile(l: Law):
     return namespace["make_scan"], tuple(sorted(tables)), tuple(constants)
 
 
-def _index_scan(l: Law, ix: CarrierIndex):
-    make_scan, tables, constants = _compile(l)
-    args = {table: getattr(ix, table) for table in tables}
-    args.update((f"c{k}", ix.position[eval_term(c, ix.meadow)]) for k, c in enumerate(constants))
-    scan_indices = make_scan(power=_power, **args)
+def _scan(l: Law, m: PreMeadow, tables, key, element):
+    make_scan, names, constants = _compile(l)
+    args = {name: getattr(tables, name) for name in names}
+    args.update((f"c{k}", key(eval_term(c, m))) for k, c in enumerate(constants))
+    scan_keys = make_scan(power=_power, **args)
 
     def scan(tuples):
-        checked, witness = scan_indices(tuples)
-        return checked, None if witness is None else tuple(ix.elements[i] for i in witness)
+        checked, witness = scan_keys(tuples)
+        return checked, None if witness is None else tuple(map(element, witness))
 
     return scan
 
@@ -323,19 +339,11 @@ def check_axioms(
     if exhaustive and not finite:
         raise InfiniteCarrier("exhaustive checking needs a finite carrier")
 
-    # A meadow whose inverse is not certified stays on the element path,
-    # where an ambiguous inverse raises at the first tuple that meets it.
-    ix = m.freeze_tables() if finite else None
-    if ix is None or (isinstance(m, Meadow) and m.status != "verified"):
-        pool = m.probe_pool()
-        if suite == "AssemblyMul":
-            pool = _unit_locus(pool, m.zero_of, m.inverse)
-        scans = [_element_scan(l, m) for l in laws]
-    else:
-        pool = list(range(len(ix.elements)))
-        if suite == "AssemblyMul":
-            pool = _unit_locus(pool, ix.zero_of.__getitem__, ix.inverse.__getitem__)
-        scans = [_index_scan(l, ix) for l in laws]
+    tables, pool, key, element = _carrier(m)
+    if suite == "AssemblyMul":  # the unit locus: x^-1 lies in x's component
+        zero_of, inverse = tables.zero_of, tables.inverse
+        pool = [x for x in pool if zero_of[x] == zero_of[inverse[x]]]
+    scans = [_scan(l, m, tables, key, element) for l in laws]
 
     rng = random.Random(seed)
     results = [_check_law(l, scan, pool, exhaustive, budget, rng) for l, scan in zip(laws, scans)]
@@ -411,9 +419,7 @@ def find_counterexample(dl, law_name: str, mode_budget: int = 512, seed: int = 0
     tool for broken transition tables.  The special law name
     "unique-maximal-J_x" scans invertibility supports instead.
     """
-    from .meadow import Meadow as _Meadow
-
-    m = _Meadow(dl, status="lazy")
+    m = Meadow(dl, status="lazy")
     if law_name == "unique-maximal-J_x":
         for x in m.probe_pool():
             w = m.inverse_witness(x)
@@ -423,8 +429,8 @@ def find_counterexample(dl, law_name: str, mode_budget: int = 512, seed: int = 0
     for suite in SUITES.values():
         for l in suite:
             if l.name == law_name:
-                pool = m.probe_pool()
-                rng = random.Random(seed)
-                result = _check_law(l, _element_scan(l, m), pool, m.is_finite(), mode_budget, rng)
+                tables, pool, key, element = _carrier(m)
+                scan = _scan(l, m, tables, key, element)
+                result = _check_law(l, scan, pool, m.is_finite(), mode_budget, random.Random(seed))
                 return tuple(result.witnesses[0]) if result.witnesses else None
     raise ValueError(f"unknown law {law_name!r}")

@@ -13,6 +13,10 @@ class NotAUnit(MeadowError):
     """Inverse requested for an element with no multiplicative inverse."""
 
 
+class ValueTooLarge(MeadowError):
+    """A ring value has more digits than Python converts to text."""
+
+
 class TableIncomplete(MeadowError):
     """A table-backed hom has no entry for the given input."""
 

@@ -167,18 +167,10 @@ class PreMeadow:
     # -- operations --------------------------------------------------------------
 
     def add(self, x: MeadowElement, y: MeadowElement) -> MeadowElement:
-        px, py = self._pair(x), self._pair(y)
-        ix = self._index
-        if ix is not None:
-            return ix.elements[ix.add[ix.position[x]][ix.position[y]]]
-        return self._wrap(self._add(px, py))
+        return self._wrap(self._add(self._pair(x), self._pair(y)))
 
     def mul(self, x: MeadowElement, y: MeadowElement) -> MeadowElement:
-        px, py = self._pair(x), self._pair(y)
-        ix = self._index
-        if ix is not None:
-            return ix.elements[ix.mul[ix.position[x]][ix.position[y]]]
-        return self._wrap(self._mul(px, py))
+        return self._wrap(self._mul(self._pair(x), self._pair(y)))
 
     def neg(self, x: MeadowElement) -> MeadowElement:
         return self._wrap(self._neg(self._pair(x)))
@@ -203,7 +195,7 @@ class PreMeadow:
     # -- finite operation tables ----------------------------------------------
 
     def freeze_tables(self) -> "CarrierIndex":
-        """The index view of the finite carrier; add and mul answer from it afterwards."""
+        """The index view of the finite carrier, built once."""
         if self._index is None:
             self._index = CarrierIndex(self)
         return self._index

@@ -27,6 +27,7 @@ from .errors import (
     InfiniteCarrier,
     NotAUnit,
     TableIncomplete,
+    ValueTooLarge,
 )
 from .report import ValidationReport
 
@@ -241,12 +242,13 @@ class Poly(RingDescriptor):
     def mul(self, a, b):
         if not a or not b:
             return ()
-        base = self.base
-        out = [base.from_int(0)] * (len(a) + len(b) - 1)
+        # coefficients are ints (Z_p) or Fractions (Q): sum plain products, reduce once
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
-                out[i + j] = base.add(out[i + j], base.mul(x, y))
-        return self._trim(out)
+                out[i + j] += x * y
+        canon = self.base.canon
+        return self._trim([canon(c) for c in out])
 
     def neg(self, a):
         return tuple(self.base.neg(c) for c in a)
@@ -583,7 +585,12 @@ def random_value(desc: RingDescriptor, rng: random.Random) -> RingValue:
 
 
 def format_value(v: RingValue) -> str:
-    return v.ring.format(v.payload)
+    try:
+        return v.ring.format(v.payload)
+    except ValueError as exc:  # an int past Python's int/str digit limit
+        raise ValueTooLarge(
+            f"a value of {v.ring} is past Python's int/str digit limit and cannot be printed"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

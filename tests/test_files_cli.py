@@ -394,3 +394,28 @@ def test_cli_json_reports_a_bad_literal_as_one_syntax_error(name):
     error = json.loads(lines[0])
     assert error["error"] == "TermSyntaxError"
     assert error["detail"].endswith(f"(at position {position})")
+
+
+# results past Python's int/str conversion limit: an integer and a rational
+TOO_LARGE = {
+    "integer": ("lattices/z.json", "2^100000", "Z"),
+    "rational": ("lattices/chain_z_q.json", "1/3^10000", "Q"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_LARGE))
+def test_cli_json_reports_a_value_too_large_to_print_as_one_error(name):
+    path, text, ring = TOO_LARGE[name]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "meadows", "--json", "eval", path, text],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ValueTooLarge"
+    assert error["detail"].startswith(f"a value of {ring} ")

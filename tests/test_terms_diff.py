@@ -417,7 +417,7 @@ def _meadows() -> list[tuple[str, Meadow]]:
     out = [(f"corpus:{name}", m) for name, m in corpus.finite_meadows()]
     out.append(("corpus:chain_z_q", build_meadow(corpus.chain_z_q())))
     frozen = adjoin_error(rings.Product((rings.Mod(2), rings.Mod(3))))
-    frozen.freeze_tables()  # the reference's operations do not read the tables
+    frozen.freeze_tables()  # building the index tables leaves the element path as it was
     out.append(("frozen:z2xz3", frozen))
     for path in sorted((ROOT / "lattices").glob("*.json")):
         if "ideal" not in path.stem:
