@@ -25,6 +25,10 @@ class InfiniteCarrier(MeadowError):
     """An exhaustive operation was requested on an infinite carrier."""
 
 
+class RingTooLarge(MeadowError):
+    """A finite ring has too many elements to list."""
+
+
 class UnknownNode(MeadowError):
     """A node identifier is not part of the lattice."""
 

@@ -26,6 +26,7 @@ from .errors import (
     DescriptorMismatch,
     InfiniteCarrier,
     NotAUnit,
+    RingTooLarge,
     TableIncomplete,
     ValueTooLarge,
 )
@@ -45,7 +46,8 @@ class RingDescriptor:
     characteristic zero), ``random`` and ``format``.  A finite ring sets
     ``finite`` and gives ``size``, ``elements`` and ``index_table`` (the
     tables of ``FiniteTables``); an infinite one gives the probe payloads
-    of ``sample``.
+    of ``sample``.  ``generators`` are payloads whose images fix a ring hom
+    out of the ring.
     """
 
     __slots__ = ()
@@ -65,6 +67,15 @@ class RingDescriptor:
     def variables(self) -> list:
         """Payloads of the ring's polynomial variables: x for F[x], none otherwise."""
         return []
+
+    def generators(self) -> list:
+        """Payloads on which two ring homs out of this ring agree only if they are equal.
+
+        Z, Z_n and Q need none beyond 1: Z is initial, Z_n is its quotient
+        and Q its localisation, so a ring hom out of each is unique.  F[x]
+        needs x; a product needs its idempotents and its factors' generators.
+        """
+        return self.variables()
 
     def characteristic(self):
         return None
@@ -340,6 +351,16 @@ class Product(RingDescriptor):
         chars = [f.characteristic() for f in self.factors]
         return None if None in chars else math.lcm(*chars)
 
+    def generators(self):
+        # each idempotent e_i, and each factor's generators at coordinate i:
+        # a hom restricted to coordinate i is a unital hom into f(e_i)S
+        zeros = [RingValue(f, f.from_int(0)) for f in self.factors]
+        out = []
+        for i, f in enumerate(self.factors):
+            for g in [f.from_int(1), *f.generators()]:
+                out.append(tuple(zeros[:i] + [RingValue(f, g)] + zeros[i + 1 :]))
+        return out
+
     def size(self):
         return math.prod(f.size() for f in self.factors)
 
@@ -412,14 +433,37 @@ ZERO = Zero()
 TOK = None
 
 
+#: Miller-Rabin bases: the primes up to 41, which decide primality exactly
+#: below ``PRIME_TEST_LIMIT``, the least strong pseudoprime to all of them
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+#: the most elements ``enumerate_ring`` lists
+ENUMERATION_LIMIT = 2**20
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; a number past ``PRIME_TEST_LIMIT`` is refused."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is too large to test for primality exactly")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -531,7 +575,15 @@ def unit_inverse(v: RingValue) -> RingValue:
 
 
 def enumerate_ring(desc: RingDescriptor) -> list[RingValue]:
-    """All elements, once each, in a deterministic order."""
+    """All elements, once each, in a deterministic order.
+
+    A finite ring of more than ``ENUMERATION_LIMIT`` elements is refused
+    before anything is built.
+    """
+    if desc.finite and desc.size() > ENUMERATION_LIMIT:
+        raise RingTooLarge(
+            f"{desc} has {desc.size()} elements, more than the {ENUMERATION_LIMIT} that can be listed"
+        )
     return [RingValue(desc, p) for p in desc.elements()]
 
 
@@ -609,13 +661,18 @@ class HomRule:
     composes a transition through it; a hand-built rule is taken as given,
     except that ``Identity`` refuses two different rings.  ``injective(h)``
     decides injectivity on an infinite source from the rule's structure, as
-    ``hom_injective`` reports it.
+    ``hom_injective`` reports it.  ``proves(h)`` is True when ``h``'s
+    endpoints type-check for the rule, which makes ``h`` a ring hom
+    (``hom_proof``); a rule that cannot be type-checked proves nothing.
     """
 
     __slots__ = ()
 
     def injective(self, h: "RingHom"):
         return None, None
+
+    def proves(self, h: "RingHom") -> bool:
+        return False
 
 
 def _same(p):
@@ -636,6 +693,9 @@ class Identity(HomRule):
     def injective(self, h):
         return True, None
 
+    def proves(self, h):
+        return True
+
 
 class _UnitImage(HomRule):
     """m to m times the unit of the target: the maps out of Z, and Z_n -> Z_m.
@@ -652,6 +712,13 @@ class _UnitImage(HomRule):
         if c is None:
             return True, None
         return False, (from_int(h.source, 0), from_int(h.source, c))
+
+    def proves(self, h):
+        # Z is initial; Z_n -> R is well defined when char R divides n
+        if h.source == Z:
+            return True
+        c = h.target.characteristic()
+        return isinstance(h.source, Mod) and c is not None and h.source.n % c == 0
 
 
 @dataclass(frozen=True)
@@ -695,6 +762,9 @@ class PolyEvalAt(HomRule):
         const = ring_value(h.source, [self.point.payload])
         return False, (const, RingValue(h.source, h.source.variables()[0]))
 
+    def proves(self, h):
+        return isinstance(h.source, Poly) and h.target == h.source.base == self.point.ring
+
 
 @dataclass(frozen=True)
 class ConstantEmbed(HomRule):
@@ -706,6 +776,9 @@ class ConstantEmbed(HomRule):
 
     def injective(self, h):
         return True, None
+
+    def proves(self, h):
+        return isinstance(h.target, Poly) and h.target.base == h.source
 
 
 @dataclass(frozen=True)
@@ -719,6 +792,12 @@ class Project(HomRule):
     def injective(self, h):
         # injective iff no other coordinate can vary freely
         return len(h.source.factors) == 1, None
+
+    def proves(self, h):
+        source = h.source
+        return isinstance(source, Product) and 0 <= self.index < len(source.factors) and (
+            h.target == source.factors[self.index]
+        )
 
 
 @dataclass(frozen=True)
@@ -739,6 +818,12 @@ class PairRule(HomRule):
             if pair is not None:
                 return False, pair
         return None, None
+
+    def proves(self, h):
+        targets = tuple(c.target for c in self.components)
+        return isinstance(h.target, Product) and h.target.factors == targets and all(
+            c.source == h.source and c.rule.proves(c) for c in self.components
+        )
 
 
 @dataclass(frozen=True)
@@ -788,6 +873,16 @@ class ComposeRule(HomRule):
             return False, None
         return None, None
 
+    def proves(self, h):
+        stages = self.stages
+        chained = (
+            bool(stages)
+            and stages[0].source == h.source
+            and stages[-1].target == h.target
+            and all(a.target == b.source for a, b in zip(stages, stages[1:]))
+        )
+        return chained and all(stage.rule.proves(stage) for stage in stages)
+
 
 @dataclass(frozen=True)
 class Collapse(HomRule):
@@ -798,6 +893,9 @@ class Collapse(HomRule):
 
     def injective(self, h):
         return False, (zero_value(h.source), one_value(h.source))
+
+    def proves(self, h):
+        return h.target == ZERO
 
 
 @dataclass(frozen=True)
@@ -912,6 +1010,29 @@ def _validation_inputs(desc: RingDescriptor, budget: int, seed: int):
     pairs = list(itertools.product(gens, gens))
     pairs += [(random_value(desc, rng), random_value(desc, rng)) for _ in range(budget)]
     return elems, pairs
+
+
+_HOM_CHECKS = ("preserves_zero", "preserves_one", "additive", "multiplicative")
+
+
+def hom_proof(h: RingHom) -> ValidationReport | None:
+    """``hom_validate``'s four checks, passed, when ``h``'s rule proves it; else None.
+
+    A finite source reports the input counts of the exhaustive check
+    (1, 1, |R|^2, |R|^2), so the report equals ``hom_validate``'s; an
+    infinite one reports no inputs, and a note naming the rule.
+    """
+    if not h.rule.proves(h):
+        return None
+    report = ValidationReport(subject=str(h))
+    if is_finite(h.source):
+        pairs = ring_size(h.source) ** 2
+        counts, note = (1, 1, pairs, pairs), ""
+    else:
+        counts, note = (0, 0, 0, 0), f"proved by the {type(h.rule).__name__} rule"
+    for name, checked in zip(_HOM_CHECKS, counts):
+        report.add(name, True, checked=checked, note=note)
+    return report
 
 
 class _OffTarget(Exception):

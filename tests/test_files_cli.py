@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -419,3 +420,38 @@ def test_cli_json_reports_a_value_too_large_to_print_as_one_error(name):
     error = json.loads(lines[0])
     assert error["error"] == "ValueTooLarge"
     assert error["detail"].startswith(f"a value of {ring} ")
+
+
+# finite rings too large to list, each named in the error: a ~10^14 residue
+# ring, and polynomials over ~10^14 and ~10^18 prime fields; a modulus past
+# the exact primality bound is a parse error
+HUGE_RINGS = {
+    "residues": ({"mod": 100000000000031}, "check", "RingTooLarge: Z100000000000031 has "),
+    "polynomials": ({"poly": {"base": {"mod": 100000000000031}}}, "eval", "RingTooLarge: Z100000000000031 has "),
+    "polynomials_1e18": (
+        {"poly": {"base": {"mod": 1000000000000000003}}}, "eval", "RingTooLarge: Z1000000000000000003 has "
+    ),
+    "polynomials_past_the_prime_bound": ({"poly": {"base": {"mod": rings.PRIME_TEST_LIMIT}}}, "eval", "ParseError: "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_RINGS))
+def test_cli_json_reports_a_ring_too_large_to_list_as_one_error(name, tmp_path):
+    ring, command, expected = HUGE_RINGS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"nodes": {"t": {"ring": ring}, "a": {"ring": "zero"}}, "order": [["a", "t"]]}))
+    argv = [command, str(path)] + (["1 + 1"] if command == "eval" else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "meadows", "--json", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    found = json.loads(lines[0])
+    assert f"{found['error']}: {found['detail']}".startswith(expected)

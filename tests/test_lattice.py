@@ -164,13 +164,20 @@ def test_corpus_lattices_all_validate():
 
 def test_validation_mode_names_every_sampled_check():
     assert dl_validate(corpus.field_diamond()).mode == "exhaustive"
+    # Z -> Q and the collapse are proved by their rules, and Z has no
+    # generators, so nothing on chain_z_q is sampled
     report = dl_validate(corpus.chain_z_q())
+    assert report.ok
+    assert not [c for c in report.checks if c.sampled]
+    assert report.mode == "exhaustive"
+    # Q -> Q by the unit map is a ring hom, but the rule cannot show it from
+    # its endpoints, so its edge check is a sample and so is the path check
+    report = dl_validate(corpus.chain(rings.Q, rings.RingHom(rings.Q, rings.Q, rings.UnitMap()), rings.Q))
+    assert report.ok
     sampled = [c for c in report.checks if c.sampled]
     assert {c.name for c in sampled} == {
         "edge(n0->n1).additive",
         "edge(n0->n1).multiplicative",
-        "edge(n1->a).additive",
-        "edge(n1->a).multiplicative",
         "path_independence(n0>n1>a)",
     }
     assert report.mode == "sampled:" + ", ".join(f"{c.name}={c.checked}" for c in sampled)
@@ -351,8 +358,16 @@ def _path_lattices():
 @pytest.mark.parametrize("name,dl", _path_lattices(), ids=lambda x: x if isinstance(x, str) else "")
 def test_path_independence_checks_match_the_reference(name, dl):
     for budget, seed in ((64, 0), (8, 5)):
-        got = [c for c in dl_validate(dl, budget, seed).checks if c.name.startswith("path_")]
-        assert got == reference_path_checks(dl, budget, seed).checks
+        report = dl_validate(dl, budget, seed)
+        got = [c for c in report.checks if c.name.startswith("path_")]
+        want = reference_path_checks(dl, budget, seed).checks
+        if dl.is_finite():
+            assert got == want
+            continue
+        # on infinite rings the verdict comes from generators, not from the sample
+        assert [(c.name, c.passed, c.witness) for c in got] == [(c.name, c.passed, c.witness) for c in want]
+        if not any(c.sampled for c in report.checks if c.name.startswith("edge(")):
+            assert not any(c.sampled for c in got)
 
 
 # -- transitions built from cached suffixes against the whole-path walk ---------

@@ -2,13 +2,15 @@
 
 import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from meadows import rings
-from meadows.errors import DescriptorMismatch, InfiniteCarrier, NotAUnit, TableIncomplete
+from meadows.enumeration import enumerate_ring_homs
+from meadows.errors import DescriptorMismatch, InfiniteCarrier, NotAUnit, RingTooLarge, TableIncomplete
 
 Z2 = rings.Mod(2)
 Z3 = rings.Mod(3)
@@ -252,6 +254,8 @@ def _small_finite_descriptors():
     return st.one_of(st.just(rings.ZERO), products).filter(lambda d: rings.ring_size(d) <= 64)
 
 
+# the brute-force reference takes ~250 ms on a 64-element product
+@settings(deadline=None)
 @given(_small_finite_descriptors())
 def test_finite_tables_match_brute_force_on_drawn_rings(desc):
     assert_tables_match(desc)
@@ -552,3 +556,111 @@ def test_hom_validate_applies_the_hom_once_per_input(monkeypatch):
     monkeypatch.setattr(rings, "hom_apply", counting)
     assert rings.hom_validate(rings.mod_to_mod(6, 3)).ok
     assert sorted(x.payload for x in calls) == list(range(6))
+
+
+# -- homs proved by their rule, and generators ------------------------------------
+
+
+def _hand_built(src, dst, rule):
+    return rings.RingHom(src, dst, rule)
+
+
+Z4 = rings.Mod(4)
+Z3X = rings.Poly(Z3)
+Z2Z3 = rings.Product((Z2, Z3))
+PROVES = {
+    # rule and endpoints that type-check
+    "identity": (rings.identity_hom(QX), True),
+    "collapse": (rings.collapse_hom(rings.Z), True),
+    "include_q": (rings.include_rationals(), True),
+    "reduce_z": (rings.reduce_mod(6), True),
+    "unit_map_into_product": (rings.unit_map(rings.Product((Z2, rings.Q))), True),
+    "reduce_mod_div": (rings.mod_to_mod(6, 3), True),
+    "z6_into_z2xz3": (_hand_built(Z6, Z2Z3, rings.ReduceModDiv()), True),
+    "z6_into_z3x": (_hand_built(Z6, Z3X, rings.UnitMap()), True),
+    "eval": (rings.poly_eval_at(Z3X, 2), True),
+    "embed": (rings.constant_embed(QX), True),
+    "project": (rings.project(Z2Z3, 1), True),
+    "pair": (rings.pair_hom([rings.reduce_mod(2), rings.include_rationals()]), True),
+    "compose": (rings.compose_homs(rings.constant_embed(Z3X), rings.poly_eval_at(Z3X, 1)), True),
+    # rules that cannot be type-checked, or endpoints that do not fit
+    "table": (rings.table_hom(Z2, Z2, [(0, 0), (1, 1)]), False),
+    "collapse_into_z2": (_hand_built(Z2, Z2, rings.Collapse()), False),
+    "z6_into_z4": (_hand_built(Z6, Z4, rings.ReduceModDiv()), False),
+    "z6_into_q": (_hand_built(Z6, rings.Q, rings.UnitMap()), False),
+    "q_into_q": (_hand_built(rings.Q, rings.Q, rings.UnitMap()), False),
+    "eval_into_another_field": (_hand_built(Z3X, Z2, rings.PolyEvalAt(v(Z3, 1))), False),
+    "eval_at_a_foreign_point": (_hand_built(Z3X, Z3, rings.PolyEvalAt(v(Z2, 1))), False),
+    "embed_from_another_field": (_hand_built(Z2, Z3X, rings.ConstantEmbed()), False),
+    "project_onto_the_wrong_factor": (_hand_built(Z2Z3, Z2, rings.Project(1)), False),
+    "project_out_of_range": (_hand_built(Z2Z3, Z3, rings.Project(-1)), False),
+    "pair_into_the_wrong_product": (
+        _hand_built(Z6, rings.Product((Z3, Z2)), rings.PairRule((rings.mod_to_mod(6, 2), rings.mod_to_mod(6, 3)))),
+        False,
+    ),
+    "pair_with_a_table": (
+        rings.pair_hom([rings.mod_to_mod(6, 2), rings.table_hom(Z6, Z3, [(k, k % 3) for k in range(6)])]),
+        False,
+    ),
+    "compose_with_a_table": (
+        rings.compose_homs(rings.mod_to_mod(6, 3), rings.table_hom(Z3, Z3, [(0, 0), (1, 1), (2, 2)])),
+        False,
+    ),
+    "compose_out_of_the_wrong_ring": (
+        _hand_built(Z4, Z2, rings.ComposeRule((rings.mod_to_mod(6, 3), rings.mod_to_mod(3, 3)))), False
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROVES))
+def test_a_rule_proves_exactly_the_homs_whose_endpoints_type_check(name):
+    h, proved = PROVES[name]
+    assert h.rule.proves(h) is proved
+    proof = rings.hom_proof(h)
+    if not proved:
+        assert proof is None
+        return
+    assert rings.hom_validate(h).ok  # a proof is never wrong
+    if rings.is_finite(h.source):
+        # the same report the exhaustive check gives
+        assert proof.checks == rings.hom_validate(h).checks
+    else:
+        assert [(c.name, c.passed, c.checked, c.sampled) for c in proof.checks] == [
+            (check, True, 0, False) for check in ("preserves_zero", "preserves_one", "additive", "multiplicative")
+        ]
+        assert all(type(h.rule).__name__ in c.note for c in proof.checks)
+
+
+SMALL = [rings.ZERO, Z2, Z3, Z4, Z6, rings.Product((Z2, Z2)), Z2Z3, rings.Product((Z2, rings.Product((Z2, Z2))))]
+
+
+@pytest.mark.parametrize("src", SMALL, ids=str)
+def test_homs_that_agree_on_the_generators_are_equal(src):
+    gens = src.generators()
+    elems = rings.enumerate_ring(src)
+    for dst in SMALL:
+        homs = enumerate_ring_homs(src, dst)
+        for f, g in itertools.product(homs, repeat=2):
+            on_gens = all(f.fn(x) == g.fn(x) for x in gens)
+            assert on_gens == all(rings.hom_apply(f, x) == rings.hom_apply(g, x) for x in elems)
+
+
+def test_generators_of_each_descriptor():
+    assert rings.Z.generators() == rings.Q.generators() == Z6.generators() == rings.ZERO.generators() == []
+    assert QX.generators() == [(Fraction(0), Fraction(1))]
+    zero, one = v(Z2, 0), v(Z2, 1)
+    x, zx = v(Z3X, [0, 1]), v(Z3X, [])
+    assert rings.Product((Z2, Z3X)).generators() == [
+        (one, zx),
+        (zero, v(Z3X, [1])),
+        (zero, x),
+    ]
+
+
+def test_enumeration_refuses_a_ring_too_large_to_list():
+    for desc in (rings.Mod(2**20 + 1), rings.Product((rings.Mod(2**10), rings.Mod(2**10), Z2))):
+        with pytest.raises(RingTooLarge, match=re.escape(str(desc))):
+            rings.enumerate_ring(desc)
+        with pytest.raises(RingTooLarge):
+            rings.FiniteTables(desc)
+    assert len(rings.enumerate_ring(rings.Product((rings.Mod(2**10), rings.Mod(2**10))))) == 2**20

@@ -12,7 +12,8 @@ is checked the same way, rule by rule: reductions and unit maps against
 evaluation against ``sympy.Poly.eval`` over QQ and GF(p), the constant
 embedding, projections and pairings coordinate by coordinate, tables
 against the dict they were built from, and chains of ``compose_homs``
-against the composite of their stages' oracles.
+against the composite of their stages' oracles.  The primality test behind
+``prime_field`` is checked against ``sympy.isprime``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -290,3 +292,41 @@ def test_chains_through_polynomials_match_sympy_poly(oracle, data):
     if base == rings.Q:
         chain = rings.compose_homs(rings.include_rationals(), embed, at)
         assert image(chain, rings.Z, 7) == Fraction(7)
+
+
+# -- primality: deterministic Miller-Rabin against sympy.isprime -----------------
+
+# composites that fool Miller-Rabin on the first t prime bases, t = 1..12, and
+# Carmichael numbers
+PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    3825123056546413051, 318665857834031151167461, 561, 1105, 1729, 2465, 2821, 6601, 8911,
+)
+
+
+def test_is_prime_matches_sympy_below_ten_thousand_and_on_pseudoprimes():
+    for n in list(range(-2, 10_000)) + list(PSEUDOPRIMES):
+        assert rings._is_prime(n) == sympy.isprime(n), n
+
+
+@settings(deadline=None)
+@given(st.integers(2, rings.PRIME_TEST_LIMIT - 1))
+def test_is_prime_matches_sympy_up_to_its_bound(n):
+    assert rings._is_prime(n) == sympy.isprime(n)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 2**40), st.integers(2, 2**40))
+def test_is_prime_on_primes_and_their_products(a, b):
+    p, q = sympy.nextprime(a), sympy.nextprime(b)
+    assert rings._is_prime(p) and rings._is_prime(q)
+    assert not rings._is_prime(p * q)
+
+
+def test_is_prime_refuses_past_its_bound():
+    assert not sympy.isprime(rings.PRIME_TEST_LIMIT)  # the least pseudoprime to all 13 bases
+    with pytest.raises(ValueError):
+        rings._is_prime(rings.PRIME_TEST_LIMIT)
+    with pytest.raises(ValueError):
+        rings.Poly(rings.Mod(rings.PRIME_TEST_LIMIT))
+    assert rings.Poly(rings.Mod(sympy.prevprime(rings.PRIME_TEST_LIMIT))).base.prime_field()
