@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 
 from . import rings
-from .errors import InfiniteCarrier
+from .errors import InfiniteCarrier, InvalidBudget
 from .meadow import Meadow, PreMeadow
 from .report import EXHAUSTIVE, AxiomReport, LawResult, sampled
 from .terms import (
@@ -174,43 +174,17 @@ def _suite_needs_inverse(laws) -> bool:
     return any(l.needs_inverse for l in laws)
 
 
-class _Memo(dict):
-    """A table whose entry for a key is ``fn(key)``, computed the first time it is read."""
+def _index(m: PreMeadow, exhaustive: bool):
+    """The index the compiled scans of m read.
 
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
-class _PairTables:
-    """The tables of a ``CarrierIndex`` over (node, payload) pairs: each entry
-    is the meadow's pair operation, memoised for one ``check_axioms`` call."""
-
-    def __init__(self, m: PreMeadow):
-        self.add = _Memo(lambda x: _Memo(functools.partial(m._add, x)))
-        self.mul = _Memo(lambda x: _Memo(functools.partial(m._mul, x)))
-        self.neg = _Memo(m._neg)
-        self.zero_of = _Memo(m._zero_of)
-        self.inverse = _Memo(lambda x: m._inverse(x))  # late-bound: a pre-meadow has no _inverse
-
-
-def _carrier(m: PreMeadow):
-    """(tables, pool, key, element): what the compiled scans of m read.
-
-    A finite carrier with a certified inverse reads its ``CarrierIndex``,
-    with element indices as keys.  Any other carrier reads ``_PairTables``,
-    with (node, payload) pairs as keys, so an uncertified inverse raises
-    ``AmbiguousInverse`` at the first tuple that meets it.  ``key`` maps an
-    element to its key and ``element`` maps a key back.
+    Only an exhaustive check of a finite carrier with a certified inverse
+    reads the ``CarrierIndex``, tabulated up front; a sample reads few of
+    its cells, and an uncertified inverse must raise at the first tuple
+    that meets it, so any other check reads the meadow's ``lazy_index``.
     """
-    if m.is_finite() and not (isinstance(m, Meadow) and m.status != "verified"):
-        ix = m.freeze_tables()
-        return ix, list(range(len(ix.elements))), ix.position.__getitem__, ix.elements.__getitem__
-    return _PairTables(m), [m._pair(x) for x in m.probe_pool()], m._pair, m._wrap
+    if exhaustive and m.is_finite() and not (isinstance(m, Meadow) and m.status != "verified"):
+        return m.freeze_tables()
+    return m.lazy_index
 
 
 @functools.cache
@@ -222,7 +196,7 @@ def _compile(l: Law):
     premise is unmet or an alternative holds.  The scan takes an iterable
     of variable tuples (in ``Law.variables`` order) and returns (tuples
     checked, first failing tuple or None).  The tables are a
-    ``CarrierIndex`` or ``_PairTables`` (``_carrier``); premises, then
+    ``CarrierIndex`` or a ``LazyIndex`` (``_index``); premises, then
     alternatives, short-circuit left to right, and each lookup evaluates
     its left operand first, as ``eval_term`` does.
     """
@@ -283,25 +257,39 @@ def _compile(l: Law):
     return namespace["make_scan"], tuple(sorted(tables)), tuple(constants)
 
 
-def _scan(l: Law, m: PreMeadow, tables, key, element):
+def _scan(l: Law, m: PreMeadow, ix):
     make_scan, names, constants = _compile(l)
-    args = {name: getattr(tables, name) for name in names}
-    args.update((f"c{k}", key(eval_term(c, m))) for k, c in enumerate(constants))
+    args = {name: getattr(ix, name) for name in names}
+    args.update((f"c{k}", ix.key(eval_term(c, m))) for k, c in enumerate(constants))
     scan_keys = make_scan(power=_power, **args)
 
     def scan(tuples):
         checked, witness = scan_keys(tuples)
-        return checked, None if witness is None else tuple(map(element, witness))
+        return checked, None if witness is None else tuple(map(ix.element, witness))
 
     return scan
 
 
+def _choices(rng, pool, count: int):
+    """``count`` draws of ``rng.choice(pool)``, made as it makes them, one at a
+    time: ``rng.getrandbits`` until the number falls in the pool (which has
+    at least two elements wherever this samples)."""
+    n, bits, getrandbits = len(pool), len(pool).bit_length(), rng.getrandbits
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        yield pool[r]
+
+
 def _check_law(l: Law, scan, pool, exhaustive: bool, budget: int, rng) -> LawResult:
+    if budget < 1:
+        raise InvalidBudget(f"a sample budget must be at least 1 tuple, not {budget}")
     k = len(l.variables)
     if exhaustive or len(pool) ** k <= budget:
         tuples = itertools.product(pool, repeat=k)
     else:
-        tuples = (tuple(rng.choice(pool) for _ in range(k)) for _ in range(budget))
+        tuples = zip(*[_choices(rng, pool, budget * k)] * k)
     checked, witness = scan(tuples)
     return LawResult(
         name=l.name,
@@ -322,9 +310,10 @@ def check_axioms(
 
     Finite carriers default to exhaustive checking while the tuple count
     per law stays within EXHAUSTIVE_TUPLE_LIMIT; pass ``exhaustive=True``
-    to force a full scan, or ``False`` to force seeded sampling.  Infinite
-    carriers always sample a fixed deterministic pool.  The report says
-    "exhaustive" whenever every law ran on all tuples of a finite carrier.
+    to force a full scan, or ``False`` to force seeded sampling of
+    ``budget`` tuples per law (at least one).  Infinite carriers always
+    sample a fixed deterministic pool.  The report says "exhaustive"
+    whenever every law ran on all tuples of a finite carrier.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; options: {sorted(SUITES)}")
@@ -339,11 +328,12 @@ def check_axioms(
     if exhaustive and not finite:
         raise InfiniteCarrier("exhaustive checking needs a finite carrier")
 
-    tables, pool, key, element = _carrier(m)
+    ix = _index(m, exhaustive)
+    pool = ix.pool
     if suite == "AssemblyMul":  # the unit locus: x^-1 lies in x's component
-        zero_of, inverse = tables.zero_of, tables.inverse
+        zero_of, inverse = ix.zero_of, ix.inverse
         pool = [x for x in pool if zero_of[x] == zero_of[inverse[x]]]
-    scans = [_scan(l, m, tables, key, element) for l in laws]
+    scans = [_scan(l, m, ix) for l in laws]
 
     rng = random.Random(seed)
     results = [_check_law(l, scan, pool, exhaustive, budget, rng) for l, scan in zip(laws, scans)]
@@ -429,8 +419,7 @@ def find_counterexample(dl, law_name: str, mode_budget: int = 512, seed: int = 0
     for suite in SUITES.values():
         for l in suite:
             if l.name == law_name:
-                tables, pool, key, element = _carrier(m)
-                scan = _scan(l, m, tables, key, element)
-                result = _check_law(l, scan, pool, m.is_finite(), mode_budget, random.Random(seed))
+                ix = m.lazy_index
+                result = _check_law(l, _scan(l, m, ix), ix.pool, m.is_finite(), mode_budget, random.Random(seed))
                 return tuple(result.witnesses[0]) if result.witnesses else None
     raise ValueError(f"unknown law {law_name!r}")

@@ -60,7 +60,7 @@ def cmd_check(args) -> int:
         report = axioms.check_axioms(
             meadow,
             suite,
-            budget=args.samples or 512,
+            budget=512 if args.samples is None else args.samples,
             seed=args.seed,
             exhaustive=exhaustive,
         )

@@ -26,7 +26,11 @@ class InfiniteCarrier(MeadowError):
 
 
 class RingTooLarge(MeadowError):
-    """A finite ring has too many elements to list."""
+    """A finite ring has too many elements to list, or its carrier to tabulate."""
+
+
+class InvalidBudget(MeadowError):
+    """A sample budget is not a positive number of tuples."""
 
 
 class UnknownNode(MeadowError):

@@ -200,6 +200,11 @@ class PreMeadow:
             self._index = CarrierIndex(self)
         return self._index
 
+    @functools.cached_property
+    def lazy_index(self) -> "LazyIndex":
+        """The index of the elements met so far, built once and grown on use."""
+        return LazyIndex(self)
+
     def operation_table(self, op: str) -> dict:
         """Explicit table for add, mul, neg, zero_of or inverse; finite only."""
         ix = self.freeze_tables()
@@ -218,7 +223,10 @@ class CarrierIndex:
 
     ``add`` and ``mul`` are N x N tables of element indices, ``neg``,
     ``zero_of`` and ``inverse`` are length-N lists (``inverse`` needs a
-    meadow).  Each table is built the first time it is read.  The binary
+    meadow).  Each table is built the first time it is read, and a binary
+    one past ``rings.TABLE_CELL_LIMIT`` cells is refused.  ``key`` and
+    ``element`` map an element to its index and back, as a ``LazyIndex``
+    does, and ``pool`` is every index.  The binary
     tables are assembled from the ring tables (``rings.FiniteTables``, one
     per distinct ring) at the meet nodes and the transition maps as index
     lists, so every entry is what the element operation returns.
@@ -241,6 +249,13 @@ class CarrierIndex:
                 tables[desc] = rings.FiniteTables(desc)
             self._rings[n] = tables[desc]
         self._pushes: dict = {}
+        self.pool = range(len(self.elements))
+
+    def key(self, x: MeadowElement) -> int:
+        return self.position[x]
+
+    def element(self, k: int) -> MeadowElement:
+        return self.elements[k]
 
     def _push(self, i, k) -> list[int]:
         """Local index at node k of the image of each value at node i."""
@@ -266,6 +281,7 @@ class CarrierIndex:
         return [start + p for p in self._push(i, k)]
 
     def _binary(self, op: str) -> list[list[int]]:
+        rings.check_cells("the carrier", len(self.elements))
         meet = self.meadow.lattice.meet
         rows = []
         for i in self._values:
@@ -304,6 +320,56 @@ class CarrierIndex:
     @functools.cached_property
     def inverse(self) -> list[int]:
         return self._unary(self.meadow._inverse)
+
+
+class _Memo(dict):
+    """A table whose entry for a key is ``fn(key)``, computed the first time it is read."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class LazyIndex:
+    """Index view of the elements met so far, numbered as they are met.
+
+    ``elements[i]`` is the (node, payload) pair of element i, ``position``
+    maps a pair back to i, and ``pool`` is the probe pool's indices in
+    ``probe_pool()`` order.  The tables are read like a ``CarrierIndex``'s,
+    but each entry is the meadow's pair operation, computed the first time
+    it is read; an uncertified inverse raises ``AmbiguousInverse`` there
+    and stores nothing.  The index lives as long as the meadow and holds
+    every element and entry its readers have met.
+    """
+
+    def __init__(self, m: PreMeadow):
+        self.meadow = m
+        self.elements: list[tuple] = []
+        self.position: dict = {}
+        pair, number = self.elements.__getitem__, self._number
+        self.add = _Memo(lambda x: _Memo(lambda y: number(m._add(pair(x), pair(y)))))
+        self.mul = _Memo(lambda x: _Memo(lambda y: number(m._mul(pair(x), pair(y)))))
+        self.neg = _Memo(lambda x: number(m._neg(pair(x))))
+        self.zero_of = _Memo(lambda x: number(m._zero_of(pair(x))))
+        self.inverse = _Memo(lambda x: number(m._inverse(pair(x))))  # a pre-meadow has none: fails when read
+        self.pool = [number(m._pair(x)) for x in m.probe_pool()]
+
+    def _number(self, pair) -> int:
+        k = self.position.get(pair)
+        if k is None:
+            k = self.position[pair] = len(self.elements)
+            self.elements.append(pair)
+        return k
+
+    def key(self, x: MeadowElement) -> int:
+        return self._number(self.meadow._pair(x))
+
+    def element(self, k: int) -> MeadowElement:
+        return self.meadow._wrap(self.elements[k])
 
 
 class Meadow(PreMeadow):

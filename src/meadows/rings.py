@@ -441,6 +441,9 @@ PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
 #: the most elements ``enumerate_ring`` lists
 ENUMERATION_LIMIT = 2**20
 
+#: the most cells an add or mul table may have (a table stays well under 1 GB)
+TABLE_CELL_LIMIT = 2**22
+
 
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; a number past ``PRIME_TEST_LIMIT`` is refused."""
@@ -587,12 +590,21 @@ def enumerate_ring(desc: RingDescriptor) -> list[RingValue]:
     return [RingValue(desc, p) for p in desc.elements()]
 
 
+def check_cells(what: str, n: int) -> None:
+    """Refuse the N x N tables of ``what``, n elements, past ``TABLE_CELL_LIMIT`` cells."""
+    if n * n > TABLE_CELL_LIMIT:
+        raise RingTooLarge(
+            f"{what} has {n} elements: its tables would have {n * n} cells, more than the {TABLE_CELL_LIMIT} that are built"
+        )
+
+
 class FiniteTables:
     """A finite ring numbered 0..N-1 in ``enumerate_ring`` order.
 
     ``elements[i]`` is element i and ``index`` maps its payload back to i;
     ``add`` and ``mul`` are N x N tables of element indices, each built
-    the first time it is read by the descriptor's ``index_table``.  A
+    the first time it is read by the descriptor's ``index_table`` (past
+    ``TABLE_CELL_LIMIT`` cells, ``RingTooLarge``).  A
     product's order is mixed radix with the last factor fastest, so its
     tables combine the factor tables with integer arithmetic alone.
     """
@@ -607,10 +619,12 @@ class FiniteTables:
 
     @functools.cached_property
     def add(self) -> list[list[int]]:
+        check_cells(str(self.desc), len(self.elements))
         return self.desc.index_table("add")
 
     @functools.cached_property
     def mul(self) -> list[list[int]]:
+        check_cells(str(self.desc), len(self.elements))
         return self.desc.index_table("mul")
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from meadows import axioms, rings
-from meadows.errors import DescriptorMismatch, InfiniteCarrier
+from meadows.errors import DescriptorMismatch, InfiniteCarrier, InvalidBudget
 from meadows.lattice import dl_validate
 from meadows.meadow import build_meadow, build_premeadow
 from meadows.morphisms import adjoin_error
@@ -150,6 +150,15 @@ def test_find_counterexample_ambiguous_support():
 def test_find_counterexample_none_on_valid_chain():
     assert axioms.find_counterexample(corpus.chain_z_q(), "M14") is None
     assert axioms.find_counterexample(corpus.chain_z_q(), "unique-maximal-J_x") is None
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_a_sample_budget_below_one_is_refused_not_passed(budget):
+    # CIL fails on the chain (x = -3 at Z), so zero sampled tuples would be a false pass
+    with pytest.raises(InvalidBudget):
+        axioms.find_counterexample(corpus.chain_z_q(), "CIL", mode_budget=budget)
+    with pytest.raises(InvalidBudget):
+        axioms.check_axioms(build_meadow(corpus.chain_z_q()), "CIL", budget=budget)
 
 
 def test_find_counterexample_broken_square_distributivity():

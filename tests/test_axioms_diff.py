@@ -13,7 +13,12 @@ and checked count) or the exception (type and message) must be the same:
   pre-meadows;
 - on ``corpus.chain_z_q()`` and every shipped file, the ambiguous files
   built lazily;
-- on the infinite carriers, with hypothesis-drawn budgets and seeds.
+- on the infinite carriers, with hypothesis-drawn budgets and seeds;
+- on one meadow per carrier run through the suites of ``meadow check
+  --suite all`` in order, sampled on the finite ones, and then
+  through hypothesis-drawn runs: the suites share the meadow's lazy index,
+  and each report must be the one a fresh meadow gives, also after an
+  earlier suite raised ``AmbiguousInverse`` mid-scan.
 ``find_counterexample`` must agree with the element scan on the lattices
 of ``tests/test_axioms.py``, for every law name.
 """
@@ -26,8 +31,8 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from meadows import axioms, rings
-from meadows.errors import InfiniteCarrier
+from meadows import axioms, cli, rings
+from meadows.errors import AmbiguousInverse, InfiniteCarrier
 from meadows.latfile import load_lattice_file
 from meadows.meadow import Meadow, build_meadow, build_premeadow
 from meadows.report import EXHAUSTIVE, AxiomReport, sampled
@@ -136,6 +141,65 @@ def test_check_axioms_matches_the_element_scan(name, builders):
 def test_check_axioms_matches_the_element_scan_on_drawn_samples(name, make, suite, budget, seed):
     got = outcome(axioms.check_axioms, make(), suite, budget=budget, seed=seed)
     assert got == outcome(reference_check_axioms, make(), suite, budget=budget, seed=seed)
+
+
+def _cli_runs(m):
+    """The suites of ``meadow check --suite all``, sampled on a finite carrier.
+
+    Sampled, a finite carrier reads the lazy index as an infinite one
+    does; its exhaustive checks are the test above.
+    """
+    kwargs = {"exhaustive": False, "budget": 200, "seed": 3} if m.is_finite() else {}
+    return [(suite, kwargs) for suite in cli.CHECK_SUITES]
+
+
+def _shared_runs(m, make, runs):
+    """Each run's outcome on the shared meadow ``m``, checked against a fresh ``make()``."""
+    outcomes = []
+    for suite, kwargs in runs:
+        got = outcome(axioms.check_axioms, m, suite, **kwargs)
+        assert got == outcome(reference_check_axioms, make(), suite, **kwargs), (suite, kwargs)
+        outcomes.append(got)
+    return outcomes
+
+
+@pytest.mark.parametrize("name, builders", CARRIERS, ids=[name for name, _ in CARRIERS])
+def test_suites_sharing_one_meadow_match_the_element_scan(name, builders):
+    # corpus meadows are checked built lazily and verified
+    for make in builders:
+        outcomes = _shared_runs(make(), builders[0], _cli_runs(make()))
+        if "ambiguous" in name:  # CM raised mid-scan, and the suites after it still matched
+            assert outcomes[cli.CHECK_SUITES.index("CM")][:2] == ("raised", AmbiguousInverse)
+
+
+RUNS = st.lists(
+    st.tuples(
+        st.sampled_from(SUITES),
+        st.fixed_dictionaries({"budget": st.integers(1, 300), "seed": st.integers(0, 2**32)}),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@pytest.mark.parametrize("name, make", INFINITE, ids=[name for name, _ in INFINITE])
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(runs=RUNS)
+def test_drawn_runs_sharing_one_meadow_match_the_element_scan(name, make, runs):
+    m = make()
+    for suite, kwargs in _cli_runs(m):  # checked by the test above
+        outcome(axioms.check_axioms, m, suite, **kwargs)
+    _shared_runs(m, make, runs)
+
+
+# ``_check_law`` is shared with the reference above, so its seeded draws
+# are checked here against ``random.Random.choice``, which they replaced
+@given(n=st.integers(2, 300), count=st.integers(0, 60), seed=st.integers(0, 2**32))
+def test_sampled_draws_are_rng_choice_draws(n, count, seed):
+    pool = [object() for _ in range(n)]
+    got, want = random.Random(seed), random.Random(seed)
+    assert list(axioms._choices(got, pool, count)) == [want.choice(pool) for _ in range(count)]
+    assert got.getstate() == want.getstate()
 
 
 COUNTEREXAMPLE_LATTICES = {

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -422,32 +423,56 @@ def test_cli_json_reports_a_value_too_large_to_print_as_one_error(name):
     assert error["detail"].startswith(f"a value of {ring} ")
 
 
+# the address-space limit of a CLI child that may try to allocate without bound
+CHILD_MEMORY = 2**30
+
+
+def _run_limited(argv):
+    """``meadow --json *argv`` in a child whose address space is ``CHILD_MEMORY``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "meadows", "--json", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit,
+    )
+    return proc, time.perf_counter() - start
+
+
+def _one_node_file(tmp_path, name, ring):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"nodes": {"t": {"ring": ring}, "a": {"ring": "zero"}}, "order": [["a", "t"]]}))
+    return path
+
+
 # finite rings too large to list, each named in the error: a ~10^14 residue
 # ring, and polynomials over ~10^14 and ~10^18 prime fields; a modulus past
-# the exact primality bound is a parse error
+# the exact primality bound is a parse error; a 20,011-element ring lists,
+# but its add and mul tables are past the cell bound
+LARGE = {"mod": 20011}
 HUGE_RINGS = {
-    "residues": ({"mod": 100000000000031}, "check", "RingTooLarge: Z100000000000031 has "),
-    "polynomials": ({"poly": {"base": {"mod": 100000000000031}}}, "eval", "RingTooLarge: Z100000000000031 has "),
+    "residues": ({"mod": 100000000000031}, ["check"], "RingTooLarge: Z100000000000031 has "),
+    "polynomials": ({"poly": {"base": {"mod": 100000000000031}}}, ["eval", "1 + 1"], "RingTooLarge: Z100000000000031 has "),
     "polynomials_1e18": (
-        {"poly": {"base": {"mod": 1000000000000000003}}}, "eval", "RingTooLarge: Z1000000000000000003 has "
+        {"poly": {"base": {"mod": 1000000000000000003}}}, ["eval", "1 + 1"], "RingTooLarge: Z1000000000000000003 has "
     ),
-    "polynomials_past_the_prime_bound": ({"poly": {"base": {"mod": rings.PRIME_TEST_LIMIT}}}, "eval", "ParseError: "),
+    "polynomials_past_the_prime_bound": (
+        {"poly": {"base": {"mod": rings.PRIME_TEST_LIMIT}}}, ["eval", "1 + 1"], "ParseError: "
+    ),
+    "add_table": (LARGE, ["table", "--op", "add"], "RingTooLarge: the carrier has 20012 elements: "),
+    "mul_table": (LARGE, ["table", "--op", "mul"], "RingTooLarge: the carrier has 20012 elements: "),
+    "exhaustive_check": (LARGE, ["check", "--exhaustive"], "RingTooLarge: the carrier has 20012 elements: "),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HUGE_RINGS))
 def test_cli_json_reports_a_ring_too_large_to_list_as_one_error(name, tmp_path):
-    ring, command, expected = HUGE_RINGS[name]
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps({"nodes": {"t": {"ring": ring}, "a": {"ring": "zero"}}, "order": [["a", "t"]]}))
-    argv = [command, str(path)] + (["1 + 1"] if command == "eval" else [])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "meadows", "--json", *argv],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert time.perf_counter() - start < 5
+    ring, (command, *options), expected = HUGE_RINGS[name]
+    proc, seconds = _run_limited([command, str(_one_node_file(tmp_path, name, ring)), *options])
+    assert seconds < 5
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -455,3 +480,25 @@ def test_cli_json_reports_a_ring_too_large_to_list_as_one_error(name, tmp_path):
     assert len(lines) == 1
     found = json.loads(lines[0])
     assert f"{found['error']}: {found['detail']}".startswith(expected)
+
+
+def test_cli_json_samples_the_laws_of_a_large_finite_ring(tmp_path):
+    proc, seconds = _run_limited(["check", str(_one_node_file(tmp_path, "large", LARGE)), "--suite", "all"])
+    assert seconds < 5
+    assert proc.returncode == 0, proc.stderr
+    reports = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["suite"] for r in reports] == ["PM", "CM", "NVL", "AVL", "CIL"]
+    assert {r["mode"] for r in reports} == {"sampled:512"}
+
+
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_cli_json_refuses_a_sample_budget_below_one(samples, capsys):
+    assert main(["--json", "check", "lattices/z.json", "--suite", "PM", "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "InvalidBudget",
+        "detail": f"a sample budget must be at least 1 tuple, not {samples}",
+    }

@@ -105,3 +105,36 @@ def test_foreign_element_still_refused_when_frozen():
         frozen.add(frozen.one, other.one)
     with pytest.raises(ForeignElement):
         frozen.mul(MeadowElement("nowhere", frozen.one.value), frozen.one)
+
+
+LAZY_CARRIERS = {
+    "chain_z_q": lambda: build_meadow(corpus.chain_z_q(), mode="verify"),
+    "z6_lazy": lambda: Meadow(dict(corpus.finite_meadows())["z6"].dl, "lazy"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CARRIERS))
+def test_lazy_index_numbers_each_element_once(name):
+    m = LAZY_CARRIERS[name]()
+    ix = m.lazy_index
+    assert m.lazy_index is ix
+    pool = m.probe_pool()
+    assert [ix.element(k) for k in ix.pool] == pool
+    for x in pool:
+        assert ix.element(ix.key(x)) == x
+    for x in pool:
+        for y in pool:
+            for op in ("add", "mul"):
+                k = getattr(ix, op)[ix.key(x)][ix.key(y)]
+                assert ix.element(k) == getattr(m, op)(x, y)
+                assert ix.key(getattr(m, op)(x, y)) == k  # an equal pair met again keeps its number
+    assert len(ix.position) == len(ix.elements) == len(set(ix.elements))
+    assert all(ix.position[pair] == i for i, pair in enumerate(ix.elements))
+
+
+def test_lazy_index_keys_on_the_node():
+    m = build_meadow(corpus.chain_z_q(), mode="verify")
+    ix = m.lazy_index
+    one_z, one_q = m.element("n0", 1), m.element("n1", 1)  # payloads 1 and Fraction(1) are equal
+    assert ix.key(one_z) != ix.key(one_q)
+    assert (ix.element(ix.key(one_z)), ix.element(ix.key(one_q))) == (one_z, one_q)

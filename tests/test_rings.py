@@ -664,3 +664,11 @@ def test_enumeration_refuses_a_ring_too_large_to_list():
         with pytest.raises(RingTooLarge):
             rings.FiniteTables(desc)
     assert len(rings.enumerate_ring(rings.Product((rings.Mod(2**10), rings.Mod(2**10))))) == 2**20
+
+
+def test_tables_past_the_cell_bound_are_refused():
+    for desc in (rings.Mod(2049), rings.Product((rings.Mod(3), rings.Mod(683)))):  # 2049² > 2²²
+        tables = rings.FiniteTables(desc)
+        for op in ("add", "mul"):
+            with pytest.raises(RingTooLarge, match=re.escape(f"{desc} has 2049 elements: its tables would have 4198401 cells")):
+                getattr(tables, op)
