@@ -270,16 +270,6 @@ class CarrierIndex:
         node, payload = pair
         return self._start[node] + self._rings[node].index[payload]
 
-    def span(self, node) -> range:
-        """Indices of the elements at ``node``."""
-        start = self._start[node]
-        return range(start, start + len(self._values[node]))
-
-    def transition(self, i, k) -> list[int]:
-        """Index of the image at node k of each element at node i, in span order."""
-        start = self._start[k]
-        return [start + p for p in self._push(i, k)]
-
     def _binary(self, op: str) -> list[list[int]]:
         rings.check_cells("the carrier", len(self.elements))
         meet = self.meadow.lattice.meet

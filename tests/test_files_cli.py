@@ -491,6 +491,20 @@ def test_cli_json_samples_the_laws_of_a_large_finite_ring(tmp_path):
     assert {r["mode"] for r in reports} == {"sampled:512"}
 
 
+def test_cli_json_quotients_a_carrier_past_the_table_bound(tmp_path):
+    # 4,101 elements: the quotient map is checked without the carrier's tables
+    path = tmp_path / "large_chain.json"
+    path.write_text(json.dumps(_lattice({"mod": 4098}, {"mod": 2}, {"from": "t", "to": "m", "map": {"reduce_mod": 2}})))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"t": "zero", "m": "whole"}))
+    proc, seconds = _run_limited(["quotient", str(path), "--ideal", str(ideal)])
+    assert seconds < 5
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["collapsed"] == ["a", "m"]
+    assert data["lattice"]["nodes"]["t"]["ring"] == {"mod": 4098}
+
+
 @pytest.mark.parametrize("samples", ["-5", "0"])
 def test_cli_json_refuses_a_sample_budget_below_one(samples, capsys):
     assert main(["--json", "check", "lattices/z.json", "--suite", "PM", "--samples", samples]) == 1

@@ -6,7 +6,10 @@ then f(1) = 1 and the hom equations on every element pair through
 ``MeadowHom.apply`` and the meadows' own ``add``/``mul``, on meadows whose
 tables were never frozen.  ``TableRule`` homs are applied by a linear scan
 of their graph.  Every candidate hom is built by both; they must agree on
-the hom or on the exception class and message.
+the hom or on the exception class and message.  ``hom_build`` scans the
+hom equations only on an infinite source, because on a finite one they
+follow from its node, ring-map and square checks; ``compare`` checks that
+the reference's equation scan never fires on the finite corpus.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -27,8 +31,20 @@ from meadows.errors import (
     TargetMismatch,
     UnitNotPreserved,
 )
-from meadows.meadow import Meadow, MeadowElement
-from meadows.morphisms import hom_build
+from meadows.meadow import Meadow, MeadowElement, PreMeadow
+from meadows.morphisms import (
+    FiniteSubset,
+    MeadowIdeal,
+    WholeRing,
+    adjoin_error,
+    adjoint_transpose,
+    base_ring,
+    hom_build,
+    identity_hom,
+    meadow_product,
+    product_projections,
+    quotient,
+)
 from meadows.report import ValidationReport
 
 import corpus
@@ -192,6 +208,10 @@ def small_meadows() -> dict:
     return {name: m for name, m in corpus.finite_meadows() if m.size() <= MAX_SIZE}
 
 
+# the reference's checks that follow from the ones before them on a finite source
+EQUATION_FAILURES = {"additivity fails", "multiplicativity fails", "1 is not sent to 1"}
+
+
 def compare(src, dst, cases) -> set:
     """Build every case both ways; "hom", or each exception class and message head seen."""
     ref_src, ref_dst = unfrozen(src), unfrozen(dst)
@@ -201,7 +221,9 @@ def compare(src, dst, cases) -> set:
         got = outcome(hom_build, src, dst, lattice_map, ring_maps)
         assert got == want, lattice_map
         if isinstance(want[0], type):
-            kinds |= {want[0], want[1].split(" at ")[0]}
+            head = want[1].split(" at ")[0]
+            assert head not in EQUATION_FAILURES, want
+            kinds |= {want[0], head}
         else:
             kinds.add("hom")
     return kinds
@@ -221,39 +243,89 @@ def test_candidates_reach_the_square_check():
     assert {"hom", SquareDoesNotCommute, NotAHomomorphism, NotLatticeHom} <= kinds
 
 
-def passing_report(h, budget=64, seed=0):
-    return ValidationReport(subject=str(h))
-
-
 @pytest.mark.parametrize("src_name", ["z4", "z6", "z2xz2", "chain_z4_z2", "z2_diamond"])
-def test_elementwise_checks_match_reference_past_the_ring_checks(src_name, monkeypatch):
-    # On finite meadows the hom equations follow from the node, ring and
-    # square checks, so a non-hom reaches them only with the ring checks off.
-    monkeypatch.setattr(rings, "hom_validate", passing_report)
+def test_elementwise_checks_match_reference_past_the_ring_checks(src_name):
+    # A hom with one image moved is no hom.  Both builds refuse it at a
+    # ring-map check or a square, before the reference's equation scan.
     meadows = small_meadows()
     src = meadows[src_name]
     rng = random.Random(src_name)
     kinds = set()
     for dst in meadows.values():
-        cases = []
         for mapping in enumerate_meadow_hom_maps(src, dst):
             for x in [src.one] + [rng.choice(src.elements()) for _ in range(3)]:
                 moved = changed_image(src, dst, mapping, rng, x)
                 if moved is not None and (lifted := lift(src, dst, moved)) is not None:
-                    cases.append(lifted)
-        kinds |= compare(src, dst, cases)
-    assert "1 is not sent to 1" in kinds
-    assert {"additivity fails", "multiplicativity fails"} & kinds
+                    case = compare(src, dst, [lifted])
+                    assert case & {"ring map", SquareDoesNotCommute}, case
+                    kinds |= case
+    assert {UnitNotPreserved, NotAHomomorphism} <= kinds
 
 
-def test_multiplicativity_witness_matches_reference(monkeypatch):
-    # x -> x0 + x1 + x2 on Z2^3 is additive and fixes 1 but is not multiplicative
-    monkeypatch.setattr(rings, "hom_validate", passing_report)
+def test_multiplicativity_witness_matches_reference():
+    # x -> x0 + x1 + x2 on Z2^3 is additive and fixes 1 but is not
+    # multiplicative: its ring map at the top is refused for that
     meadows = small_meadows()
     src, dst = meadows["z2cube"], meadows["z2"]
     mapping = {
         x: dst.a if x.node == "a" else dst.element("top", sum(c.payload for c in x.value.payload))
         for x in src.elements()
     }
-    kinds = compare(src, dst, [lift(src, dst, mapping)])
-    assert "multiplicativity fails" in kinds
+    case = lift(src, dst, mapping)
+    assert compare(src, dst, [case]) == {NotAHomomorphism, "ring map"}
+    _, message = outcome(hom_build, src, dst, *case)
+    assert message.startswith("ring map at 'top' fails: ") and "multiplicative" in message
+
+
+def passing_report(h, budget=64, seed=0):
+    return ValidationReport(subject=str(h))
+
+
+@dataclass(frozen=True)
+class Square(rings.HomRule):
+    """x -> x^2 on Z: fixes 0 and 1 and is multiplicative, but not additive."""
+
+    def compile(self, h):
+        return lambda p: p * p
+
+
+def test_equation_scan_on_an_infinite_source_names_the_first_failing_pair(monkeypatch):
+    # with the ring-map checks off, only the sampled hom equations can refuse
+    # a non-hom out of an infinite source
+    monkeypatch.setattr(rings, "hom_proof", lambda h: None)
+    monkeypatch.setattr(rings, "hom_validate", passing_report)
+    src = adjoin_error(rings.Z)
+    dst = adjoin_error(rings.Z)
+    ring_maps = {"top": rings.RingHom(rings.Z, rings.Z, Square()), "a": rings.identity_hom(rings.ZERO)}
+
+    def square(x):
+        return x if x.node == "a" else dst.element("top", x.value.payload**2)
+
+    pool = src.probe_pool()
+    x, y = next(
+        (x, y)
+        for x, y in itertools.islice(itertools.product(pool, pool), 256)
+        if square(src.add(x, y)) != dst.add(square(x), square(y))
+    )
+    with pytest.raises(NotAHomomorphism) as info:
+        hom_build(src, dst, {"top": "top", "a": "a"}, ring_maps)
+    assert str(info.value) == f"additivity fails at ({x}, {y})"
+
+
+def test_hom_build_tabulates_no_carrier(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the carrier tables were built")
+
+    monkeypatch.setattr(PreMeadow, "freeze_tables", refuse)
+    # on fresh finite meadows, so no earlier call built the tables
+    for _, m in corpus.finite_meadows():
+        identity_hom(unfrozen(m))
+    m2 = unfrozen(small_meadows()["z2"])
+    product = meadow_product(m2, m2)
+    left, right = product_projections(product, m2, m2)
+    assert left.target is m2 and right.target is m2
+    into = adjoint_transpose(rings.identity_hom(base_ring(product)), product)
+    assert into.target is product
+    m6 = unfrozen(small_meadows()["z6"])
+    evens = FiniteSubset(v for v in rings.enumerate_ring(rings.Mod(6)) if v.payload % 2 == 0)
+    assert quotient(m6, MeadowIdeal(m6, {"top": evens, "a": WholeRing()})).quotient.size() == 3
