@@ -213,6 +213,10 @@ class DirectedLattice:
     def is_finite(self) -> bool:
         return all(rings.is_finite(d) for d in self.ring_at.values())
 
+    def validated(self) -> bool:
+        """True once ``dl_validate`` has passed on this lattice, with any budget and seed."""
+        return bool(self._passed)
+
 
 def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> ValidationReport:
     """Full coherence check of a directed lattice of rings.
@@ -257,14 +261,9 @@ def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> Validat
     if not report.ok:
         return report
 
-    # path independence on every comparable triple i > j > k.  When no edge
-    # check was sampled, every edge is a ring hom, so both paths are ring
-    # homs out of the ring at i and they agree exactly when they agree on
-    # its generators; a failing triple is then scanned on the inputs below
-    # for the witness the input-by-input check reports.  Otherwise each
-    # triple is compared on those inputs: every element of a finite ring,
-    # the seeded sample of an infinite one.
-    exact = not any(c.sampled for c in report.checks)
+    # path independence on every comparable triple i > j > k, on the probes
+    # of the node i (``NodeProbes``), each imaged once per transition
+    exact = checked_exactly(dl.edge_homs[c] for c in L.covers())
     lower_of = {}
     for j in L.nodes:
         below = L.down_set(j)
@@ -274,7 +273,8 @@ def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> Validat
         triples = [(j, k) for j in lower_of[i] for k in lower_of[j]]
         if not triples:
             continue
-        probes = desc.generators() if exact else _path_inputs(desc, budget, seed)
+        node = NodeProbes(desc, exact, budget, seed)
+        probes = node.probes
         checked = rings.ring_size(desc) if desc.finite else len(probes)
         images: dict = {}  # node n -> images of the probes under transition(i, n)
         for j, k in triples:
@@ -283,12 +283,12 @@ def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> Validat
                 for n in (j, k):
                     if n not in images:
                         images[n] = list(map(dl.transition(i, n).fn, probes))
-                via = list(map(dl.transition(j, k).fn, images[j]))
-                if via != images[k]:
-                    miss = next(t for t, (a, b) in enumerate(zip(via, images[k])) if a != b)
-                    bad = _split(dl, i, j, k, probes[miss])
-                    if exact:  # report the first failing input, when there is one
-                        bad = _first_split(dl, i, j, k, _path_inputs(desc, budget, seed)) or bad
+                step = dl.transition(j, k).fn
+                if list(map(step, images[j])) != images[k]:
+                    first, direct = dl.transition(i, j).fn, dl.transition(i, k).fn
+                    x = node.first_difference(lambda p: step(first(p)), direct)
+                    at_k = dl.ring_at[k]  # x, its image at k through j, its image at k directly
+                    bad = (x, rings.RingValue(at_k, step(first(x.payload))), rings.RingValue(at_k, direct(x.payload)))
             name = f"path_independence({i}>{j}>{k})"
             # appended directly: a large lattice has thousands of triples
             report.checks.append(CheckResult(name, bad is None, bad, checked, "", not (exact or desc.finite)))
@@ -297,29 +297,34 @@ def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> Validat
     return report
 
 
-def _path_inputs(desc, budget: int, seed: int) -> list:
-    """Payloads at a node to compare paths on input by input: every element
-    of a finite ring, the seeded sample of ``hom_validate`` on an infinite one."""
-    if desc.finite:
-        return [x.payload for x in rings.enumerate_ring(desc)]
-    elems, _ = rings._validation_inputs(desc, budget, seed)
-    return [x.payload for x in elems]
+def checked_exactly(homs) -> bool:
+    """True when checking each of ``homs`` as a ring hom samples nothing: its
+    rule proves it, or its source is finite and every pair is checked."""
+    return all(h.source.finite or h.rule.proves(h) for h in homs)
 
 
-def _split(dl: DirectedLattice, i, j, k, p) -> tuple:
-    """(x, image of x at k through j, image of x at k directly) for the payload p at i."""
-    via = dl.transition(j, k).fn(dl.transition(i, j).fn(p))
-    return (
-        rings.RingValue(dl.ring_at[i], p),
-        rings.RingValue(dl.ring_at[k], via),
-        rings.RingValue(dl.ring_at[k], dl.transition(i, k).fn(p)),
-    )
+class NodeProbes:
+    """Where two ring homs out of one node's ring are compared: on exact data
+    (``checked_exactly``) the ring's generators, since two ring homs that
+    agree there are equal; else every element of a finite ring or
+    ``hom_validate``'s seeded sample of an infinite one, the node's inputs.
+    A difference is named at the first input that shows it."""
 
+    def __init__(self, desc: rings.RingDescriptor, exact: bool, budget: int, seed: int):
+        self.desc, self.exact, self.budget, self.seed = desc, exact, budget, seed
+        self.probes = desc.generators() if exact else self.inputs()
 
-def _first_split(dl: DirectedLattice, i, j, k, payloads) -> tuple | None:
-    """``_split`` of the first payload whose two images at k differ; None if none does."""
-    for p in payloads:
-        x, via, want = _split(dl, i, j, k, p)
-        if via != want:
-            return x, via, want
-    return None
+    def inputs(self) -> list:
+        if self.desc.finite:
+            return [x.payload for x in rings.enumerate_ring(self.desc)]
+        elems, _ = rings._validation_inputs(self.desc, self.budget, self.seed)
+        return [x.payload for x in elems]
+
+    def first_difference(self, f, g) -> rings.RingValue | None:
+        """None when the payload maps f and g agree on the probes; else the
+        first input at which they differ, or, when none does (a generator of
+        an infinite ring that the sample misses), the first probe that does."""
+        miss = next((p for p in self.probes if f(p) != g(p)), None)  # no payload is None
+        if miss is not None and self.exact:
+            miss = next((p for p in self.inputs() if f(p) != g(p)), miss)
+        return None if miss is None else rings.RingValue(self.desc, miss)

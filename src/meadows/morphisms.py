@@ -31,7 +31,7 @@ from .errors import (
     UnitNotPreserved,
     ZeroRingInput,
 )
-from .lattice import DirectedLattice, Lattice
+from .lattice import DirectedLattice, Lattice, NodeProbes, checked_exactly
 from .meadow import Meadow, MeadowElement, PreMeadow, build_meadow, build_premeadow
 from .report import ValidationReport
 
@@ -69,18 +69,20 @@ def hom_build(src: PreMeadow, dst: PreMeadow, lattice_map: dict, ring_maps: dict
 
     Checks, in order: node coverage, lattice hom laws (leq, meets, top and
     bottom), each ring map's endpoints and ring-hom laws (proved from its
-    rule, else ``rings.hom_validate``), then the commuting squares against
-    the transition maps, on every element of a finite node and on the
-    seeded sample of an infinite one.  The hom equations are scanned, on
-    the first pairs of the probe pool, only when the source is infinite:
-    there the checks before them were sampled.  On a finite source they
-    follow.  For x at i, y at j and k = i meet j, with g the ring maps, d
-    the source transitions, D the target's and L the lattice map,
-    f(x + y) = g_k(d_ik x + d_jk y) = g_k d_ik x + g_k d_jk y as g_k is
-    additive (checked on every pair), = D g_i x + D g_j y as the squares
-    (i, k) and (j, k) commute, = f(x) + f(y) as L(k) = L(i) meet L(j); the
-    same holds for *.  f(1) = 1 on every source, from top -> top and the
-    top ring map's ``preserves_one``, which is checked exactly.
+    rule, else ``rings.hom_validate``), then the commuting squares, decided
+    as ``dl_validate`` decides paths (``NodeProbes``): on each node ring's
+    generators when the data is exact (both lattices passed ``dl_validate``
+    and every cover edge and ring map is ``checked_exactly``), else on every
+    element of a finite node and the seeded sample of an infinite one.  The
+    hom equations are scanned, on the first pairs of the probe pool, only on
+    an infinite source whose data is not exact.  Otherwise they follow: for
+    x at i, y at j and k = i meet j, with g the ring maps, d the source
+    transitions, D the target's and L the lattice map, f(x + y) =
+    g_k(d_ik x + d_jk y) = g_k d_ik x + g_k d_jk y as g_k is additive,
+    = D g_i x + D g_j y as the squares (i, k) and (j, k) commute,
+    = f(x) + f(y) as L(k) = L(i) meet L(j); the same holds for *.  f(1) = 1
+    on every source, from top -> top and the top ring map's
+    ``preserves_one``, which is checked exactly.
     """
     L, Ldst = src.lattice, dst.lattice
     for n in L.nodes:
@@ -91,7 +93,9 @@ def hom_build(src: PreMeadow, dst: PreMeadow, lattice_map: dict, ring_maps: dict
         if lattice_map[n] not in Ldst.nodes:
             raise NotLatticeHom(f"{n!r} maps to unknown node {lattice_map[n]!r}")
 
-    for a, b in itertools.product(L.nodes, repeat=2):
+    # an order failure at (a, b) is also a meet failure there, and meets are
+    # symmetric, so the first failing ordered pair has a no later than b
+    for a, b in itertools.combinations_with_replacement(L.nodes, 2):
         if L.leq(a, b) and not Ldst.leq(lattice_map[a], lattice_map[b]):
             raise NotLatticeHom(f"order not preserved on ({a!r}, {b!r})")
         got = lattice_map[L.meet(a, b)]
@@ -114,25 +118,25 @@ def hom_build(src: PreMeadow, dst: PreMeadow, lattice_map: dict, ring_maps: dict
                 raise UnitNotPreserved(f"ring map at {z!r} does not fix 1")
             raise NotAHomomorphism(f"ring map at {z!r} fails: {sub.summary()}")
 
+    exact = src.dl.validated() and dst.dl.validated() and checked_exactly(
+        [ring_maps[z] for z in L.nodes] + [d.edge_homs[c] for d in (src.dl, dst.dl) for c in d.lattice.covers()]
+    )
     for z in L.nodes:
-        desc = src.dl.ring_at[z]
-        if rings.is_finite(desc):
-            inputs = rings.enumerate_ring(desc)
-        else:
-            inputs, _ = rings._validation_inputs(desc, _BUDGET, _SEED)
-        payloads = [v.payload for v in inputs]
+        node = NodeProbes(src.dl.ring_at[z], exact, _BUDGET, _SEED)
+        if not node.probes:  # exact data and a ring without generators
+            continue
         map_here = ring_maps[z].fn
         for z2 in L.nodes:
             if z2 == z or not L.leq(z2, z):
                 continue
             down, map_below = src.dl.transition(z, z2).fn, ring_maps[z2].fn
             image_down = dst.dl.transition(lattice_map[z], lattice_map[z2]).fn
-            for p in payloads:
-                if map_below(down(p)) != image_down(map_here(p)):
-                    raise SquareDoesNotCommute(z, z2, rings.RingValue(desc, p))
+            bad = node.first_difference(lambda p: map_below(down(p)), lambda p: image_down(map_here(p)))
+            if bad is not None:
+                raise SquareDoesNotCommute(z, z2, bad)
 
     f = MeadowHom(src, dst, lattice_map, ring_maps)
-    if not src.is_finite():
+    if not (exact or src.is_finite()):
         pool = src.probe_pool()
         for x, y in itertools.islice(itertools.product(pool, pool), _EQUATION_PAIRS):
             if f.apply(src.add(x, y)) != dst.add(f.apply(x), f.apply(y)):
@@ -373,11 +377,14 @@ def ideal_validate(ideal: MeadowIdeal) -> ValidationReport:
         report.add("whole_propagates_down", True)
 
     for up in L.nodes:
+        if up == bottom:  # nothing lies below it
+            continue
+        probes = ideal.probe_members(up)
+        sampled = not rings.is_finite(m.dl.ring_at[up])
         for lo in L.nodes:
             if lo == up or not L.leq(lo, up):
                 continue
             t = m.dl.transition(up, lo)
-            probes = ideal.probe_members(up)
             bad = next(
                 (v for v in probes if not ideal.contains(lo, rings.hom_apply(t, v))),
                 None,
@@ -387,7 +394,7 @@ def ideal_validate(ideal: MeadowIdeal) -> ValidationReport:
                 bad is None,
                 None if bad is None else (bad,),
                 checked=len(probes),
-                sampled=not rings.is_finite(m.dl.ring_at[up]),
+                sampled=sampled,
             )
     return report
 
@@ -472,7 +479,7 @@ class QuotientResult:
     is_meadow: bool
 
 
-def quotient(m: PreMeadow, ideal: MeadowIdeal, require_meadow: bool = False) -> QuotientResult:
+def quotient(m: PreMeadow, ideal: MeadowIdeal) -> QuotientResult:
     """Collapse an ideal: whole components land on the error element.
 
     The result is tagged ``is_meadow=True`` only when unique invertibility
@@ -510,24 +517,12 @@ def quotient(m: PreMeadow, ideal: MeadowIdeal, require_meadow: bool = False) -> 
         edge_homs[(up, lo)] = _factor_through(projs[up], g)
     qdl = DirectedLattice(qlat, ring_at, edge_homs)
 
-    structure: PreMeadow
-    certified = False
-    if qdl.is_finite():
-        try:
-            structure = build_meadow(qdl, mode="verify")
-            certified = True
-        except AmbiguousInverse:
-            if require_meadow:
-                raise
-            structure = build_premeadow(qdl)
-    elif qlat.is_chain():
-        # a totally ordered support always has a unique maximal unit node
-        structure = build_meadow(qdl, mode="verify")
-        certified = True
-    else:
-        structure = build_premeadow(qdl)
-        if require_meadow:
-            raise Undecidable("cannot certify invertibility of an infinite non-chain quotient")
+    # a totally ordered support always has a unique maximal unit node
+    certified = qdl.is_finite() or qlat.is_chain()
+    try:
+        structure = build_meadow(qdl, mode="verify") if certified else build_premeadow(qdl)
+    except AmbiguousInverse:  # only a finite non-chain quotient gets here
+        structure, certified = build_premeadow(qdl), False
 
     lattice_map = {n: (n if n in kept else bottom) for n in L.nodes}
     ring_maps = {

@@ -826,11 +826,11 @@ class PairRule(HomRule):
         if any(hom_injective(c)[0] is True for c in self.components):
             return True, None
         if is_finite(h.target):
-            # infinite source into a finite product: pigeonhole on 0, 1, ..., |target|
-            inputs = (from_int(h.source, k) for k in range(ring_size(h.target) + 1))
-            pair = first_collision(functools.partial(hom_apply, h), inputs)
-            if pair is not None:
-                return False, pair
+            # an infinite source does not embed in a finite product; pigeonhole
+            # on 0, 1, ..., |target|, which are distinct below the characteristic
+            c = h.source.characteristic()
+            inputs = (from_int(h.source, k) for k in range(min(ring_size(h.target) + 1, c or math.inf)))
+            return False, first_collision(functools.partial(hom_apply, h), inputs)
         return None, None
 
     def proves(self, h):

@@ -10,18 +10,27 @@ the hom or on the exception class and message.  ``hom_build`` scans the
 hom equations only on an infinite source, because on a finite one they
 follow from its node, ring-map and square checks; ``compare`` checks that
 the reference's equation scan never fires on the finite corpus.
+
+``reference_sampled_hom_build`` is the algorithm for infinite sources that
+decides every square on the node's inputs (every element of a finite node,
+the seeded sample of an infinite one) and then scans the hom equations on
+the first 256 probe-pool pairs.  ``hom_build`` decides the squares on
+generators when the data is exact and skips that scan; the two must agree
+on the homs the library builds over infinite meadows, and on those homs
+with ring maps changed so that a square fails.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import pathlib
 import random
 from dataclasses import dataclass
 
 import pytest
 
-from meadows import rings
+from meadows import morphisms, rings
 from meadows.enumeration import enumerate_meadow_hom_maps, enumerate_ring_homs
 from meadows.errors import (
     MeadowError,
@@ -31,7 +40,8 @@ from meadows.errors import (
     TargetMismatch,
     UnitNotPreserved,
 )
-from meadows.meadow import Meadow, MeadowElement, PreMeadow
+from meadows.latfile import load_lattice_file
+from meadows.meadow import Meadow, MeadowElement, PreMeadow, build_meadow
 from meadows.morphisms import (
     FiniteSubset,
     MeadowIdeal,
@@ -41,9 +51,11 @@ from meadows.morphisms import (
     base_ring,
     hom_build,
     identity_hom,
+    initial_hom,
     meadow_product,
     product_projections,
     quotient,
+    radical,
 )
 from meadows.report import ValidationReport
 
@@ -329,3 +341,190 @@ def test_hom_build_tabulates_no_carrier(monkeypatch):
     m6 = unfrozen(small_meadows()["z6"])
     evens = FiniteSubset(v for v in rings.enumerate_ring(rings.Mod(6)) if v.payload % 2 == 0)
     assert quotient(m6, MeadowIdeal(m6, {"top": evens, "a": WholeRing()})).quotient.size() == 3
+
+
+# -- infinite sources: squares on generators against the sampled scan ----------
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EQUATION_PAIRS = 256
+
+
+def reference_sampled_hom_build(src, dst, lattice_map, ring_maps, budget=64, seed=0):
+    """(lattice_map, ring_maps) of the hom; squares on every input, then the sampled equations."""
+    L, Ldst = src.lattice, dst.lattice
+    for n in L.nodes:
+        if n not in lattice_map:
+            raise NotLatticeHom(f"node {n!r} has no image")
+        if n not in ring_maps:
+            raise NotLatticeHom(f"node {n!r} has no ring map")
+        if lattice_map[n] not in Ldst.nodes:
+            raise NotLatticeHom(f"{n!r} maps to unknown node {lattice_map[n]!r}")
+    for a, b in itertools.product(L.nodes, repeat=2):
+        if L.leq(a, b) and not Ldst.leq(lattice_map[a], lattice_map[b]):
+            raise NotLatticeHom(f"order not preserved on ({a!r}, {b!r})")
+        got = lattice_map[L.meet(a, b)]
+        want = Ldst.meet(lattice_map[a], lattice_map[b])
+        if got != want:
+            raise NotLatticeHom(f"meet not preserved on ({a!r}, {b!r}): {got!r} != {want!r}")
+    if lattice_map[L.top] != Ldst.top:
+        raise NotLatticeHom("top must map to top")
+    if lattice_map[L.bottom] != Ldst.bottom:
+        raise NotLatticeHom("bottom must map to bottom")
+    for z in L.nodes:
+        h = ring_maps[z]
+        if h.source != src.dl.ring_at[z] or h.target != dst.dl.ring_at[lattice_map[z]]:
+            raise TargetMismatch(f"ring map at {z!r} has endpoints {h.source} -> {h.target}")
+        sub = rings.hom_validate(h, budget=budget, seed=seed)
+        if not sub.ok:
+            names = [c.name for c in sub.failures()]
+            if "preserves_one" in names:
+                raise UnitNotPreserved(f"ring map at {z!r} does not fix 1")
+            raise NotAHomomorphism(f"ring map at {z!r} fails: {sub.summary()}")
+    for z in L.nodes:
+        desc = src.dl.ring_at[z]
+        if rings.is_finite(desc):
+            inputs = rings.enumerate_ring(desc)
+        else:
+            inputs, _ = rings._validation_inputs(desc, budget, seed)
+        for z2 in L.nodes:
+            if z2 == z or not L.leq(z2, z):
+                continue
+            down_then_map = rings.compose_homs(src.dl.transition(z, z2), ring_maps[z2])
+            map_then_down = rings.compose_homs(
+                ring_maps[z], dst.dl.transition(lattice_map[z], lattice_map[z2])
+            )
+            for v in inputs:
+                if scan_apply(down_then_map, v) != scan_apply(map_then_down, v):
+                    raise SquareDoesNotCommute(z, z2, v)
+
+    def apply(x):
+        return MeadowElement(lattice_map[x.node], scan_apply(ring_maps[x.node], x.value))
+
+    pool = src.probe_pool()
+    for x, y in itertools.islice(itertools.product(pool, pool), EQUATION_PAIRS):
+        if apply(src.add(x, y)) != dst.add(apply(x), apply(y)):
+            raise NotAHomomorphism(f"additivity fails at ({x}, {y})")
+        if apply(src.mul(x, y)) != dst.mul(apply(x), apply(y)):
+            raise NotAHomomorphism(f"multiplicativity fails at ({x}, {y})")
+    return dict(lattice_map), dict(ring_maps)
+
+
+def infinite_meadows() -> dict:
+    out = {name: build_meadow(load_lattice_file(ROOT / "lattices" / f"{name}.json")) for name in ("chain_z_q", "z", "glue_zp_towers")}
+    out["adjoin_error(Q)"] = adjoin_error(rings.Q)
+    out["adjoin_error(Z3[x])"] = adjoin_error(rings.Poly(rings.Mod(3)))
+    f3x = rings.Poly(rings.Mod(3))
+    out["chain_z3x_z3"] = build_meadow(corpus.chain(f3x, rings.poly_eval_at(f3x, 0), rings.Mod(3)))
+    return out
+
+
+def recorded_builds(m) -> list:
+    """The (src, dst, lattice_map, ring_maps) that the library's hom constructions pass to hom_build."""
+    calls = []
+    real = morphisms.hom_build
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(morphisms, "hom_build", record)
+        identity_hom(m)
+        initial_hom(m)
+        adjoint_transpose(rings.identity_hom(base_ring(m)), m)
+        quotient(m, radical(m))
+    return calls
+
+
+@dataclass(frozen=True)
+class Unproved(rings.HomRule):
+    """The map of ``hom`` under a rule that proves nothing, so data using it is not exact."""
+
+    hom: rings.RingHom
+
+    def compile(self, h):
+        return self.hom.fn
+
+
+def unproved(h: rings.RingHom) -> rings.RingHom:
+    return rings.RingHom(h.source, h.target, Unproved(h))
+
+
+def other_ring_homs(h: rings.RingHom) -> list:
+    """Ring homs with h's endpoints that differ from it on a generator, where easy to name."""
+    desc = h.source
+    if h.target != desc:
+        return []
+    if isinstance(desc, rings.Poly):  # x -> c, for each constant c
+        points = [rings.from_int(desc.base, c).payload for c in range(3)]
+        return [rings.compose_homs(rings.poly_eval_at(desc, c), rings.constant_embed(desc)) for c in points]
+    if isinstance(desc, rings.Product) and len(desc.factors) > 1 and desc.factors[0] == desc.factors[1]:
+        order = [1, 0, *range(2, len(desc.factors))]  # swap the first two coordinates
+        return [rings.pair_hom([rings.project(desc, k) for k in order])]
+    return []
+
+
+def perturbed(src, dst, lattice_map, ring_maps):
+    """The hom's data with one ring map changed, alone or with another made unproved."""
+    for z in src.lattice.nodes:
+        for g in other_ring_homs(ring_maps[z]):
+            yield {**ring_maps, z: g}
+            yield {**ring_maps, z: unproved(g)}
+            for w in src.lattice.nodes:
+                if w != z and not rings.is_finite(src.dl.ring_at[w]):
+                    yield {**ring_maps, z: g, w: unproved(ring_maps[w])}
+
+
+def compare_sampled(src, dst, lattice_map, ring_maps):
+    want = outcome(reference_sampled_hom_build, src, dst, lattice_map, ring_maps)
+    got = outcome(hom_build, src, dst, lattice_map, ring_maps)
+    assert got == want, (lattice_map, ring_maps)
+    return want[0] if isinstance(want[0], type) else "hom"
+
+
+INFINITE = infinite_meadows()
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE))
+def test_hom_build_matches_the_sampled_reference_on_infinite_meadows(name):
+    kinds = set()
+    builds = recorded_builds(INFINITE[name])
+    assert not builds[0][0].is_finite()
+    for src, dst, lattice_map, ring_maps in builds:
+        kinds.add(compare_sampled(src, dst, lattice_map, ring_maps))
+        for changed in perturbed(src, dst, lattice_map, ring_maps):
+            kinds.add(compare_sampled(src, dst, lattice_map, changed))
+    assert "hom" in kinds
+
+
+def test_perturbed_ring_maps_reach_failing_squares_on_exact_and_sampled_data():
+    # glue_zp_towers: swapping two coordinates at the Z3^3 node breaks the
+    # square down to Z3; the first input that shows it, (0, 1, 0), is not
+    # the first generator that does, (1, 0, 0)
+    m = INFINITE["glue_zp_towers"]
+    src, dst, lattice_map, ring_maps = recorded_builds(m)[0]
+    (swap,) = other_ring_homs(ring_maps["p3"])
+    for changed in ({**ring_maps, "p3": swap}, {**ring_maps, "p3": swap, "px": unproved(ring_maps["px"])}):
+        assert compare_sampled(src, dst, lattice_map, changed) is SquareDoesNotCommute
+        with pytest.raises(SquareDoesNotCommute) as info:
+            hom_build(src, dst, lattice_map, changed)
+        assert info.value.witness == m.element("p3", (0, 1, 0)).value
+    # Z3[x] over Z3 by evaluation at 0: x -> 1 at the top breaks the square at x
+    m = INFINITE["chain_z3x_z3"]
+    src, dst, lattice_map, ring_maps = recorded_builds(m)[0]
+    for g in other_ring_homs(ring_maps["n0"])[1:]:
+        with pytest.raises(SquareDoesNotCommute) as info:
+            hom_build(src, dst, lattice_map, {**ring_maps, "n0": g})
+        assert info.value.witness == rings.RingValue(src.dl.ring_at["n0"], (0, 1))
+
+
+def test_identity_hom_on_a_large_finite_ring_lists_no_element():
+    m = adjoin_error(rings.Mod(20011))
+
+    def refuse(desc):
+        raise AssertionError(f"{desc} was listed")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rings, "enumerate_ring", refuse)
+        f = identity_hom(m)
+    assert f.lattice_map == {"top": "top", "a": "a"}

@@ -12,13 +12,19 @@ is checked the same way, rule by rule: reductions and unit maps against
 evaluation against ``sympy.Poly.eval`` over QQ and GF(p), the constant
 embedding, projections and pairings coordinate by coordinate, tables
 against the dict they were built from, and chains of ``compose_homs``
-against the composite of their stages' oracles.  The primality test behind
-``prime_field`` is checked against ``sympy.isprime``.
+against the composite of their stages' oracles.  Injectivity verdicts on
+infinite sources (``rings.hom_injective``, decided from each rule's
+structure) are checked on the same oracles: two inputs named as colliding
+have equal sympy images, and a hom called injective shows no collision
+among seeded inputs.  The primality test behind ``prime_field`` is checked
+against ``sympy.isprime``.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -292,6 +298,98 @@ def test_chains_through_polynomials_match_sympy_poly(oracle, data):
     if base == rings.Q:
         chain = rings.compose_homs(rings.include_rationals(), embed, at)
         assert image(chain, rings.Z, 7) == Fraction(7)
+
+
+# -- injectivity verdicts on infinite sources against sympy images ---------------
+
+
+def reduction_oracle(n):
+    return lambda raw: int(sympy.Integer(raw) % n)
+
+
+def inclusion_oracle(raw):
+    return RationalOracle().lower(sympy.Rational(raw))
+
+
+def evaluation_oracle(oracle, point):
+    return lambda raw: oracle.coeff.lower(oracle.lift(raw).eval(oracle.coeff.lift(point)))
+
+
+def embedding_oracle(oracle):
+    return lambda raw: oracle.lower(sympy.Poly(oracle.coeff.lift(raw), X, **oracle.domain))
+
+
+def projection_oracle(oracle, k):
+    factor = oracle.factors[k]
+    return lambda raw: factor.lower(factor.lift(raw[k].payload))
+
+
+def pairing_oracle(components):
+    """Components are (hom, oracle) pairs; the image is a tuple of ring values."""
+    return lambda raw: tuple(rings.RingValue(h.target, o(raw)) for h, o in components)
+
+
+def chain_oracle(*oracles):
+    return lambda raw: functools.reduce(lambda acc, o: o(acc), oracles, raw)
+
+
+def injectivity_cases():
+    """(hom on an infinite source, its image on raw payloads as sympy computes it)."""
+    q_poly, f3_poly = PolyOracle(rings.Q), PolyOracle(rings.Mod(3))
+    mixed = ProductOracle([RationalOracle(), ResidueOracle(3)])
+    single = ProductOracle([RationalOracle()])
+    cases = [(rings.include_rationals(), inclusion_oracle), (rings.unit_map(rings.Q), inclusion_oracle)]
+    for n in (2, 6, 12):
+        cases += [(rings.reduce_mod(n), reduction_oracle(n)), (rings.unit_map(rings.Mod(n)), reduction_oracle(n))]
+    for oracle, points in ((q_poly, (0, Fraction(2), Fraction(-1, 3))), (f3_poly, (0, 1, 2))):
+        cases += [(rings.poly_eval_at(oracle.desc, c), evaluation_oracle(oracle, c)) for c in points]
+    cases.append((rings.constant_embed(q_poly.desc), embedding_oracle(q_poly)))
+    cases += [(rings.project(mixed.desc, k), projection_oracle(mixed, k)) for k in (0, 1)]
+    cases.append((rings.project(single.desc, 0), projection_oracle(single, 0)))
+    finite_pair = [(rings.reduce_mod(4), reduction_oracle(4)), (rings.reduce_mod(6), reduction_oracle(6))]
+    rational_pair = [(rings.reduce_mod(4), reduction_oracle(4)), (rings.include_rationals(), inclusion_oracle)]
+    evaluations = [(rings.poly_eval_at(f3_poly.desc, c), evaluation_oracle(f3_poly, c)) for c in (0, 1)]
+    for components in (finite_pair, rational_pair, evaluations):
+        cases.append((rings.pair_hom([h for h, _ in components]), pairing_oracle(components)))
+    embed = rings.constant_embed(q_poly.desc)
+    cases += [
+        (rings.compose_homs(rings.include_rationals(), embed), chain_oracle(inclusion_oracle, embedding_oracle(q_poly))),
+        (
+            rings.compose_homs(rings.reduce_mod(12), rings.mod_to_mod(12, 4)),
+            chain_oracle(reduction_oracle(12), reduction_oracle(4)),
+        ),
+        (
+            rings.compose_homs(embed, rings.poly_eval_at(q_poly.desc, 2)),
+            chain_oracle(embedding_oracle(q_poly), evaluation_oracle(q_poly, 2)),
+        ),
+    ]
+    return cases
+
+
+INJECTIVITY_CASES = injectivity_cases()
+
+
+def test_injectivity_cases_reach_every_verdict():
+    verdicts = [rings.hom_injective(h) for h, _ in INJECTIVITY_CASES]
+    assert all(not rings.is_finite(h.source) for h, _ in INJECTIVITY_CASES)
+    assert {v for v, _ in verdicts} == {True, False, None}
+    assert any(v is False and w is not None for v, w in verdicts)
+
+
+@pytest.mark.parametrize("h, oracle", INJECTIVITY_CASES, ids=[str(h) for h, _ in INJECTIVITY_CASES])
+def test_injectivity_verdicts_match_sympy_images(h, oracle):
+    verdict, witness = rings.hom_injective(h)
+    if verdict is False and witness is not None:
+        a, b = witness
+        assert a.ring == b.ring == h.source and a != b
+        assert oracle(a.payload) == oracle(b.payload)
+        assert rings.hom_apply(h, a).payload == oracle(a.payload)
+    if verdict is True:
+        rng = random.Random(str(h))
+        inputs = {rings.random_value(h.source, rng).payload for _ in range(300)}
+        inputs |= {v.payload for v in rings.sample_pool(h.source)}
+        images = {oracle(p) for p in inputs}
+        assert len(images) == len(inputs)
 
 
 # -- primality: deterministic Miller-Rabin against sympy.isprime -----------------
