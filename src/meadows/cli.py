@@ -7,6 +7,7 @@ go to stderr as one JSON object and the exit status is nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -66,9 +67,9 @@ def cmd_check(args) -> int:
         )
         all_ok = all_ok and report.ok
         if args.json:
-            print(json.dumps(report.to_json_dict(render=format_element)))
+            print(json.dumps(report.to_json_dict()))
         else:
-            print(report.to_text(render=format_element))
+            print(report.to_text())
     return 0 if all_ok else 1
 
 
@@ -119,7 +120,9 @@ def cmd_quotient(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="meadow", description="total-division arithmetic over lattices of rings"
     )

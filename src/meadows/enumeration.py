@@ -108,8 +108,8 @@ def _finite_ring_ideals(desc: rings.RingDescriptor) -> list[frozenset]:
     raise ValueError(f"no ideal enumeration for {desc}")
 
 
-def enumerate_meadow_ideals(m: PreMeadow, proper_only: bool = True) -> list[MeadowIdeal]:
-    """All ideals of a finite structure, validated; bottom is always whole."""
+def enumerate_meadow_ideals(m: PreMeadow) -> list[MeadowIdeal]:
+    """All proper ideals (not whole at the top) of a finite structure, validated; bottom is always whole."""
     L = m.lattice
     bottom = L.bottom
     per_node = {}
@@ -128,7 +128,7 @@ def enumerate_meadow_ideals(m: PreMeadow, proper_only: bool = True) -> list[Mead
             else:
                 ideal_at[node] = FiniteSubset(members)
         ideal = MeadowIdeal(m, ideal_at)
-        if proper_only and isinstance(ideal.spec_at(L.top), WholeRing):
+        if isinstance(ideal.spec_at(L.top), WholeRing):
             continue
         if ideal_validate(ideal).ok:
             out.append(ideal)
@@ -144,7 +144,7 @@ def ideal_leq(i1: MeadowIdeal, i2: MeadowIdeal) -> bool:
 
 def maximal_ideals(m: PreMeadow) -> list[MeadowIdeal]:
     """Proper ideals with no strictly larger proper ideal."""
-    proper = enumerate_meadow_ideals(m, proper_only=True)
+    proper = enumerate_meadow_ideals(m)
     out = []
     for i in proper:
         if not any(

@@ -44,9 +44,9 @@ class NotComparable(MeadowError):
 class ValidationFailed(MeadowError):
     """A structure failed validation; carries the full report."""
 
-    def __init__(self, report, message: str = ""):
+    def __init__(self, report):
         self.report = report
-        super().__init__(message or report.summary())
+        super().__init__(report.summary())
 
 
 class InvalidLattice(ValidationFailed):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 
 from . import rings
-from .errors import ParseError, ValidationFailed
+from .errors import ParseError
 from .lattice import DirectedLattice, Lattice, dl_validate, node_key
 from .meadow import PreMeadow
 from .morphisms import FiniteSubset, MeadowIdeal, NZ, WholeRing, ZeroIdeal
@@ -143,9 +143,7 @@ def load_lattice_file(path) -> DirectedLattice:
     except (OSError, ValueError) as exc:  # bad JSON, or an int past the int/str digit limit
         raise ParseError(f"cannot read {path}: {exc}") from exc
     dl = lattice_from_dict(data)
-    report = dl_validate(dl)
-    if not report.ok:
-        raise ValidationFailed(report)
+    dl_validate(dl).raise_if_failed()
     return dl
 
 

@@ -169,7 +169,7 @@ class DirectedLattice:
                 homs[(up, lo)] = rings.collapse_hom(self.ring_at[up])
         self.edge_homs = homs
         self._transitions: dict[tuple, rings.RingHom] = {}
-        self._passed: dict[tuple, ValidationReport] = {}  # (budget, seed) -> passing report
+        self._passed: ValidationReport | None = None  # dl_validate's passing report
 
     def transition(self, i, j) -> rings.RingHom:
         """The composite hom from the ring at i down to the ring at j.
@@ -214,20 +214,19 @@ class DirectedLattice:
         return all(rings.is_finite(d) for d in self.ring_at.values())
 
     def validated(self) -> bool:
-        """True once ``dl_validate`` has passed on this lattice, with any budget and seed."""
-        return bool(self._passed)
+        """True once ``dl_validate`` has passed on this lattice."""
+        return self._passed is not None
 
 
-def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> ValidationReport:
+def dl_validate(dl: DirectedLattice) -> ValidationReport:
     """Full coherence check of a directed lattice of rings.
 
     A passing report is kept on ``dl``: a directed lattice is not changed
     after construction (its transitions are cached on the same terms), so
-    validating it again with the same budget and seed returns that report.
+    validating it again returns that report.
     """
-    passed = dl._passed.get((budget, seed))
-    if passed is not None:
-        return passed
+    if dl._passed is not None:
+        return dl._passed
     report = ValidationReport(subject="directed lattice")
     report.absorb(lattice_validate(dl.lattice))
     if not report.ok:
@@ -256,7 +255,7 @@ def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> Validat
         if hom.source != dl.ring_at[up] or hom.target != dl.ring_at[lo]:
             report.add(f"edge_hom({up}->{lo})", False, (hom.source, hom.target), note="endpoint mismatch")
             continue
-        sub = rings.hom_proof(hom) or rings.hom_validate(hom, budget=budget, seed=seed)
+        sub = rings.hom_proof(hom) or rings.hom_validate(hom)
         report.absorb(sub, prefix=f"edge({up}->{lo}).")
     if not report.ok:
         return report
@@ -273,7 +272,7 @@ def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> Validat
         triples = [(j, k) for j in lower_of[i] for k in lower_of[j]]
         if not triples:
             continue
-        node = NodeProbes(desc, exact, budget, seed)
+        node = NodeProbes(desc, exact)
         probes = node.probes
         checked = rings.ring_size(desc) if desc.finite else len(probes)
         images: dict = {}  # node n -> images of the probes under transition(i, n)
@@ -293,7 +292,7 @@ def dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> Validat
             # appended directly: a large lattice has thousands of triples
             report.checks.append(CheckResult(name, bad is None, bad, checked, "", not (exact or desc.finite)))
     if report.ok:
-        dl._passed[(budget, seed)] = report
+        dl._passed = report
     return report
 
 
@@ -307,17 +306,17 @@ class NodeProbes:
     """Where two ring homs out of one node's ring are compared: on exact data
     (``checked_exactly``) the ring's generators, since two ring homs that
     agree there are equal; else every element of a finite ring or
-    ``hom_validate``'s seeded sample of an infinite one, the node's inputs.
+    ``hom_validate``'s fixed sample of an infinite one, the node's inputs.
     A difference is named at the first input that shows it."""
 
-    def __init__(self, desc: rings.RingDescriptor, exact: bool, budget: int, seed: int):
-        self.desc, self.exact, self.budget, self.seed = desc, exact, budget, seed
+    def __init__(self, desc: rings.RingDescriptor, exact: bool):
+        self.desc, self.exact = desc, exact
         self.probes = desc.generators() if exact else self.inputs()
 
     def inputs(self) -> list:
         if self.desc.finite:
             return [x.payload for x in rings.enumerate_ring(self.desc)]
-        elems, _ = rings._validation_inputs(self.desc, self.budget, self.seed)
+        elems, _ = rings._validation_inputs(self.desc)
         return [x.payload for x in elems]
 
     def first_difference(self, f, g) -> rings.RingValue | None:

@@ -454,10 +454,9 @@ class Decomposition:
         return DirectedLattice(lat, ring_at, edge_homs)
 
 
-def build_premeadow(dl: DirectedLattice, validate: bool = True) -> PreMeadow:
-    """Total structure from any directed lattice; no inverse certification."""
-    if validate:
-        dl_validate(dl).raise_if_failed(InvalidLattice)
+def build_premeadow(dl: DirectedLattice) -> PreMeadow:
+    """Total structure from a valid directed lattice; no inverse certification."""
+    dl_validate(dl).raise_if_failed(InvalidLattice)
     return PreMeadow(dl)
 
 

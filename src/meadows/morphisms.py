@@ -59,9 +59,8 @@ class MeadowHom:
         return f"meadow hom on {len(self.lattice_map)} nodes"
 
 
-# the seeded sample an infinite source's ring maps and squares are checked
-# on, and the number of probe-pool pairs its hom equations are checked on
-_BUDGET, _SEED, _EQUATION_PAIRS = 64, 0, 256
+# the number of probe-pool pairs an infinite source's hom equations are checked on
+_EQUATION_PAIRS = 256
 
 
 def hom_build(src: PreMeadow, dst: PreMeadow, lattice_map: dict, ring_maps: dict) -> MeadowHom:
@@ -73,7 +72,7 @@ def hom_build(src: PreMeadow, dst: PreMeadow, lattice_map: dict, ring_maps: dict
     as ``dl_validate`` decides paths (``NodeProbes``): on each node ring's
     generators when the data is exact (both lattices passed ``dl_validate``
     and every cover edge and ring map is ``checked_exactly``), else on every
-    element of a finite node and the seeded sample of an infinite one.  The
+    element of a finite node and the fixed sample of an infinite one.  The
     hom equations are scanned, on the first pairs of the probe pool, only on
     an infinite source whose data is not exact.  Otherwise they follow: for
     x at i, y at j and k = i meet j, with g the ring maps, d the source
@@ -111,7 +110,7 @@ def hom_build(src: PreMeadow, dst: PreMeadow, lattice_map: dict, ring_maps: dict
         h = ring_maps[z]
         if h.source != src.dl.ring_at[z] or h.target != dst.dl.ring_at[lattice_map[z]]:
             raise TargetMismatch(f"ring map at {z!r} has endpoints {h.source} -> {h.target}")
-        sub = rings.hom_proof(h) or rings.hom_validate(h, budget=_BUDGET, seed=_SEED)
+        sub = rings.hom_proof(h) or rings.hom_validate(h)
         if not sub.ok:
             names = [c.name for c in sub.failures()]
             if "preserves_one" in names:
@@ -122,7 +121,7 @@ def hom_build(src: PreMeadow, dst: PreMeadow, lattice_map: dict, ring_maps: dict
         [ring_maps[z] for z in L.nodes] + [d.edge_homs[c] for d in (src.dl, dst.dl) for c in d.lattice.covers()]
     )
     for z in L.nodes:
-        node = NodeProbes(src.dl.ring_at[z], exact, _BUDGET, _SEED)
+        node = NodeProbes(src.dl.ring_at[z], exact)
         if not node.probes:  # exact data and a ring without generators
             continue
         map_here = ring_maps[z].fn
@@ -449,12 +448,19 @@ def _component_quotient(desc: rings.RingDescriptor, spec: IdealSpec):
 
 
 def _factor_through(proj: rings.RingHom, g: rings.RingHom) -> rings.RingHom:
-    """h with h after proj equal to g, for canonical projections proj."""
+    """h with h after proj equal to g, for canonical projections proj.
+
+    h is a table hom out of ``proj.target``, and a table hom is checked on
+    its source's N x N tables, so one past ``rings.TABLE_CELL_LIMIT`` cells
+    is refused, with the same ``RingTooLarge``, before its table is built.
+    """
     if isinstance(proj.rule, rings.Identity):
         return g
     if rings.is_finite(proj.source):
+        elems = rings.enumerate_ring(proj.source)
+        rings.check_cells(str(proj.target), rings.ring_size(proj.target))
         table: dict = {}
-        for v in rings.enumerate_ring(proj.source):
+        for v in elems:
             key = rings.hom_apply(proj, v)
             img = rings.hom_apply(g, v)
             if key in table and table[key] != img:
@@ -463,6 +469,7 @@ def _factor_through(proj: rings.RingHom, g: rings.RingHom) -> rings.RingHom:
         return rings.table_hom(proj.target, g.target, table.items())
     if isinstance(proj.rule, rings.ReduceIntMod):
         n = proj.target.n
+        rings.check_cells(str(proj.target), n)
         pairs = [
             (rings.from_int(proj.target, r), rings.hom_apply(g, rings.from_int(proj.source, r)))
             for r in range(n)

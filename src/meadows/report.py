@@ -98,7 +98,7 @@ class AxiomReport:
                 return r
         raise KeyError(name)
 
-    def to_json_dict(self, render=str) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "suite": self.suite,
             "mode": self.mode,
@@ -106,19 +106,19 @@ class AxiomReport:
                 {
                     "name": r.name,
                     "status": r.status,
-                    "witness": [[render(v) for v in w] for w in r.witnesses],
+                    "witness": [[str(v) for v in w] for w in r.witnesses],
                 }
                 for r in self.laws
             ],
         }
 
-    def to_text(self, render=str) -> str:
+    def to_text(self) -> str:
         lines = [f"suite {self.suite} ({self.mode})"]
         for r in self.laws:
             mark = "pass" if r.passed else "FAIL"
             line = f"  {mark}  {r.name}  [{r.checked} tuples]"
             if r.witnesses:
-                shown = ", ".join(render(v) for v in r.witnesses[0])
+                shown = ", ".join(str(v) for v in r.witnesses[0])
                 line += f"  witness: ({shown})"
             lines.append(line)
         return "\n".join(lines)

@@ -826,11 +826,14 @@ class PairRule(HomRule):
         if any(hom_injective(c)[0] is True for c in self.components):
             return True, None
         if is_finite(h.target):
-            # an infinite source does not embed in a finite product; pigeonhole
-            # on 0, 1, ..., |target|, which are distinct below the characteristic
-            c = h.source.characteristic()
-            inputs = (from_int(h.source, k) for k in range(min(ring_size(h.target) + 1, c or math.inf)))
-            return False, first_collision(functools.partial(hom_apply, h), inputs)
+            # an infinite source does not embed in a finite product.  A ring
+            # hom sends k to k times 1, so with c = char(target) 0 and c are
+            # the first multiples of 1 to collide, unless the source's own
+            # characteristic is at most c: then no two of them collide
+            c, s = h.target.characteristic(), h.source.characteristic()
+            if s and s <= c:
+                return False, None
+            return False, (from_int(h.source, 0), from_int(h.source, c))
         return None, None
 
     def proves(self, h):
@@ -1014,15 +1017,19 @@ def hom_apply(h: RingHom, v: RingValue) -> RingValue:
     return RingValue(h.target, h.fn(v.payload))
 
 
-def _validation_inputs(desc: RingDescriptor, budget: int, seed: int):
-    """(elements, pairs) to probe an infinite ring with: a seeded sample."""
+#: the fixed sample of an infinite ring: this many random elements and pairs, drawn with this seed
+SAMPLE_SIZE, SAMPLE_SEED = 64, 0
+
+
+def _validation_inputs(desc: RingDescriptor):
+    """(elements, pairs) to probe an infinite ring with: the fixed sample."""
     gens = [zero_value(desc), one_value(desc), neg(one_value(desc))]
     gens += [RingValue(desc, x) for x in desc.variables()]
-    rng = random.Random(seed)
-    extra = [random_value(desc, rng) for _ in range(budget)]
+    rng = random.Random(SAMPLE_SEED)
+    extra = [random_value(desc, rng) for _ in range(SAMPLE_SIZE)]
     elems = gens + extra
     pairs = list(itertools.product(gens, gens))
-    pairs += [(random_value(desc, rng), random_value(desc, rng)) for _ in range(budget)]
+    pairs += [(random_value(desc, rng), random_value(desc, rng)) for _ in range(SAMPLE_SIZE)]
     return elems, pairs
 
 
@@ -1053,7 +1060,7 @@ class _OffTarget(Exception):
     """An image that is not an element of the hom's finite target."""
 
 
-def hom_validate(h: RingHom, budget: int = 64, seed: int = 0) -> ValidationReport:
+def hom_validate(h: RingHom) -> ValidationReport:
     """Check 0, 1, + and * preservation; violations become report content.
 
     A finite source is checked on every pair, on its ``FiniteTables``: the
@@ -1061,8 +1068,8 @@ def hom_validate(h: RingHom, budget: int = 64, seed: int = 0) -> ValidationRepor
     and no larger than the source each equation is a lookup in both rings'
     tables (a larger target's tables would cost more than the pairs they
     serve, so its images are added and multiplied as values).  An infinite
-    source is probed with the seeded sample of ``_validation_inputs``
-    (``budget`` random elements and pairs), element by element.  A table
+    source is probed with the fixed sample of ``_validation_inputs``
+    (``SAMPLE_SIZE`` random elements and pairs), element by element.  A table
     that misses an input, or maps one outside the target, ends the report
     with a failed ``table_covers_source`` or ``images_in_target`` check.
     """
@@ -1074,7 +1081,7 @@ def hom_validate(h: RingHom, budget: int = 64, seed: int = 0) -> ValidationRepor
             except _OffTarget:
                 pass
         return _validate_on_index(h, src, None)
-    _, pairs = _validation_inputs(h.source, budget, seed)
+    _, pairs = _validation_inputs(h.source)
     report = ValidationReport(subject=str(h))
 
     images: dict = {}

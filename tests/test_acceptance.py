@@ -208,7 +208,7 @@ def test_acceptance_5_characterizations_and_ideals():
         assert q.is_meadow and axioms.check_axioms(q.quotient, "NVL", exhaustive=True).ok, name
 
         if m.size() <= 64:
-            proper = enumerate_meadow_ideals(m, proper_only=True)
+            proper = enumerate_meadow_ideals(m)
             for ideal in proper:
                 res = quotient(m, ideal)
                 quotient_cil = res.is_meadow and axioms.check_axioms(

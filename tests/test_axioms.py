@@ -5,7 +5,7 @@ import pytest
 from meadows import axioms, rings
 from meadows.errors import DescriptorMismatch, InfiniteCarrier, InvalidBudget
 from meadows.lattice import dl_validate
-from meadows.meadow import build_meadow, build_premeadow
+from meadows.meadow import PreMeadow, build_meadow, build_premeadow
 from meadows.morphisms import adjoin_error
 
 import corpus
@@ -166,7 +166,7 @@ def test_find_counterexample_broken_square_distributivity():
     assert witness is not None
     x, y, z = witness
     # re-check the violation directly
-    m = build_premeadow(corpus.broken_square_diamond(), validate=False)
+    m = PreMeadow(corpus.broken_square_diamond())
     lhs = m.mul(x, m.add(y, z))
     rhs = m.add(m.mul(x, y), m.mul(x, z))
     assert lhs != rhs
@@ -178,7 +178,7 @@ def test_find_counterexample_refuses_an_edge_hom_into_the_wrong_ring():
     assert [c.note for c in dl_validate(dl).checks if not c.passed] == ["endpoint mismatch"]
     with pytest.raises(DescriptorMismatch, match=r"^the hom on \('n0', 'n1'\) is .* not a map Z6 -> Z3$"):
         axioms.find_counterexample(dl, "PM8")
-    m = build_premeadow(dl, validate=False)
+    m = PreMeadow(dl)
     with pytest.raises(DescriptorMismatch):
         m.add(m.element("n0", 1), m.element("n1", 1))
 

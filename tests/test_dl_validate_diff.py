@@ -36,8 +36,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402  (the benchmark's seeded lattice files)
 
-SETTINGS = ((64, 0), (8, 5))
-
 
 def reference_lattice_validate(L: Lattice) -> ValidationReport:
     report = ValidationReport(subject="lattice")
@@ -60,7 +58,7 @@ def reference_lattice_validate(L: Lattice) -> ValidationReport:
     return report
 
 
-def reference_dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) -> ValidationReport:
+def reference_dl_validate(dl: DirectedLattice) -> ValidationReport:
     report = ValidationReport(subject="directed lattice")
     report.absorb(reference_lattice_validate(dl.lattice))
     if not report.ok:
@@ -89,7 +87,7 @@ def reference_dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) 
         if hom.source != dl.ring_at[up] or hom.target != dl.ring_at[lo]:
             report.add(f"edge_hom({up}->{lo})", False, (hom.source, hom.target), note="endpoint mismatch")
             continue
-        sub = rings.hom_validate(hom, budget=budget, seed=seed)
+        sub = rings.hom_validate(hom)
         report.absorb(sub, prefix=f"edge({up}->{lo}).")
     if not report.ok:
         return report
@@ -107,7 +105,7 @@ def reference_dl_validate(dl: DirectedLattice, budget: int = 64, seed: int = 0) 
                 if finite:
                     inputs = rings.enumerate_ring(desc)
                 else:
-                    inputs, _ = rings._validation_inputs(desc, budget, seed)
+                    inputs, _ = rings._validation_inputs(desc)
             to_j = dl.transition(i, j)
             at_j = [rings.hom_apply(to_j, x) for x in inputs]
             for k in lower_of[j]:
@@ -137,20 +135,18 @@ def all_proved(dl: DirectedLattice) -> bool:
 
 
 def assert_same_verdicts(dl: DirectedLattice) -> ValidationReport:
-    for budget, seed in SETTINGS:
-        # each report on a fresh lattice: dl_validate keeps a passing one
-        fresh = DirectedLattice(dl.lattice, dl.ring_at, dl.edge_homs)
-        got = dl_validate(fresh, budget, seed)
-        want = reference_dl_validate(DirectedLattice(dl.lattice, dl.ring_at, dl.edge_homs), budget, seed)
-        assert got.subject == want.subject
-        if dl.is_finite():
-            assert got.checks == want.checks
-        else:
-            assert [(c.name, c.passed, c.witness) for c in got.checks] == [
-                (c.name, c.passed, c.witness) for c in want.checks
-            ]
-            if all_proved(dl):
-                assert got.mode == "exhaustive"
+    # the report on a fresh lattice: dl_validate keeps a passing one
+    got = dl_validate(DirectedLattice(dl.lattice, dl.ring_at, dl.edge_homs))
+    want = reference_dl_validate(DirectedLattice(dl.lattice, dl.ring_at, dl.edge_homs))
+    assert got.subject == want.subject
+    if dl.is_finite():
+        assert got.checks == want.checks
+    else:
+        assert [(c.name, c.passed, c.witness) for c in got.checks] == [
+            (c.name, c.passed, c.witness) for c in want.checks
+        ]
+        if all_proved(dl):
+            assert got.mode == "exhaustive"
     return got
 
 

@@ -211,6 +211,16 @@ def test_cli_eval_with_binding(capsys):
     assert capsys.readouterr().out.strip() == "a"
 
 
+def test_cli_calls_share_no_parsed_state(capsys):
+    # the parser is built once per process; a binding must not reach the next call
+    assert main(["eval", "lattices/chain_z_q.json", "x + 1", "--bind", "x=5@z"]) == 0
+    assert capsys.readouterr().out.strip() == "6 @ z"
+    assert main(["--json", "eval", "lattices/chain_z_q.json", "x + 1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "UnboundVariable", "detail": "variable 'x' has no binding"}
+
+
 def test_cli_eval_inverse(capsys):
     assert main(["eval", "lattices/chain_z_q.json", "2^-1"]) == 0
     assert capsys.readouterr().out.strip() == "1/2 @ q"
@@ -503,6 +513,26 @@ def test_cli_json_quotients_a_carrier_past_the_table_bound(tmp_path):
     data = json.loads(proc.stdout)
     assert data["collapsed"] == ["a", "m"]
     assert data["lattice"]["nodes"]["t"]["ring"] == {"mod": 4098}
+
+
+def test_cli_json_refuses_a_quotient_table_past_the_cell_bound_before_building_it(tmp_path, monkeypatch, capsys):
+    # Z_2049 is the least residue ring past the cell bound; the factor table
+    # of the edge t -> m would be a table hom out of it
+    def refuse(*args):
+        raise AssertionError("the factor table was built")
+
+    monkeypatch.setattr(rings, "table_hom", refuse)
+    path = tmp_path / "z_chain.json"
+    path.write_text(json.dumps(_lattice("Z", "Z", {"from": "t", "to": "m", "map": "identity"})))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"t": {"nZ": 2049}, "m": {"nZ": 2049}}))
+    assert main(["--json", "quotient", str(path), "--ideal", str(ideal)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "RingTooLarge",
+        "detail": "Z2049 has 2049 elements: its tables would have 4198401 cells, more than the 4194304 that are built",
+    }
 
 
 @pytest.mark.parametrize("samples", ["-5", "0"])

@@ -78,7 +78,7 @@ def scan_apply(h: rings.RingHom, v: rings.RingValue) -> rings.RingValue:
     return rings.hom_apply(h, v)
 
 
-def reference_hom_build(src, dst, lattice_map, ring_maps, budget=64, seed=0):
+def reference_hom_build(src, dst, lattice_map, ring_maps):
     """(lattice_map, ring_maps) of the hom, checked element by element."""
     L, Ldst = src.lattice, dst.lattice
     for n in L.nodes:
@@ -103,7 +103,7 @@ def reference_hom_build(src, dst, lattice_map, ring_maps, budget=64, seed=0):
         h = ring_maps[z]
         if h.source != src.dl.ring_at[z] or h.target != dst.dl.ring_at[lattice_map[z]]:
             raise TargetMismatch(f"ring map at {z!r} has endpoints {h.source} -> {h.target}")
-        sub = rings.hom_validate(h, budget=budget, seed=seed)
+        sub = rings.hom_validate(h)
         if not sub.ok:
             names = [c.name for c in sub.failures()]
             if "preserves_one" in names:
@@ -289,7 +289,7 @@ def test_multiplicativity_witness_matches_reference():
     assert message.startswith("ring map at 'top' fails: ") and "multiplicative" in message
 
 
-def passing_report(h, budget=64, seed=0):
+def passing_report(h):
     return ValidationReport(subject=str(h))
 
 
@@ -349,7 +349,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 EQUATION_PAIRS = 256
 
 
-def reference_sampled_hom_build(src, dst, lattice_map, ring_maps, budget=64, seed=0):
+def reference_sampled_hom_build(src, dst, lattice_map, ring_maps):
     """(lattice_map, ring_maps) of the hom; squares on every input, then the sampled equations."""
     L, Ldst = src.lattice, dst.lattice
     for n in L.nodes:
@@ -374,7 +374,7 @@ def reference_sampled_hom_build(src, dst, lattice_map, ring_maps, budget=64, see
         h = ring_maps[z]
         if h.source != src.dl.ring_at[z] or h.target != dst.dl.ring_at[lattice_map[z]]:
             raise TargetMismatch(f"ring map at {z!r} has endpoints {h.source} -> {h.target}")
-        sub = rings.hom_validate(h, budget=budget, seed=seed)
+        sub = rings.hom_validate(h)
         if not sub.ok:
             names = [c.name for c in sub.failures()]
             if "preserves_one" in names:
@@ -385,7 +385,7 @@ def reference_sampled_hom_build(src, dst, lattice_map, ring_maps, budget=64, see
         if rings.is_finite(desc):
             inputs = rings.enumerate_ring(desc)
         else:
-            inputs, _ = rings._validation_inputs(desc, budget, seed)
+            inputs, _ = rings._validation_inputs(desc)
         for z2 in L.nodes:
             if z2 == z or not L.leq(z2, z):
                 continue

@@ -2,7 +2,7 @@
 
 ``reference_hom_validate`` probes a finite source on every element pair,
 with the ring operations on values and each image memoised by value, and
-an infinite source on the seeded sample of ``_validation_inputs``.  The two
+an infinite source on the fixed sample of ``_validation_inputs``.  The two
 must give equal reports, check by check (name, passed, witness, checked,
 sampled), on every edge hom and transition of the corpus and the shipped
 lattice files, on every ring hom between small finite rings, and on homs
@@ -26,18 +26,16 @@ from meadows.report import ValidationReport
 import corpus
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SETTINGS = ((64, 0), (16, 3))
-
 Z2, Z3, Z4, Z6 = rings.Mod(2), rings.Mod(3), rings.Mod(4), rings.Mod(6)
 Z2Z2, Z2Z2Z2 = rings.Product((Z2, Z2)), rings.Product((Z2, Z2, Z2))
 
 
-def reference_hom_validate(h: rings.RingHom, budget: int = 64, seed: int = 0) -> ValidationReport:
+def reference_hom_validate(h: rings.RingHom) -> ValidationReport:
     if rings.is_finite(h.source):
         elems = rings.enumerate_ring(h.source)
         pairs, exhaustive = list(itertools.product(elems, elems)), True
     else:
-        (_, pairs), exhaustive = rings._validation_inputs(h.source, budget, seed), False
+        (_, pairs), exhaustive = rings._validation_inputs(h.source), False
     report = ValidationReport(subject=str(h))
     images: dict = {}
 
@@ -65,18 +63,17 @@ def reference_hom_validate(h: rings.RingHom, budget: int = 64, seed: int = 0) ->
     return report
 
 
-def outcome(validate, h, budget, seed):
+def outcome(validate, h):
     """(subject, checks as tuples) of the report, or the exception raised."""
     try:
-        report = validate(h, budget, seed)
+        report = validate(h)
     except Exception as exc:  # the reference's exceptions must be raised alike
         return type(exc), str(exc)
     return report.subject, [(c.name, c.passed, c.witness, c.checked, c.sampled, c.note) for c in report.checks]
 
 
 def assert_same_report(h: rings.RingHom) -> None:
-    for budget, seed in SETTINGS:
-        assert outcome(rings.hom_validate, h, budget, seed) == outcome(reference_hom_validate, h, budget, seed)
+    assert outcome(rings.hom_validate, h) == outcome(reference_hom_validate, h)
 
 
 def _lattices():

@@ -1,7 +1,9 @@
 """Exact ring arithmetic, units, enumeration and hom validation."""
 
 import dataclasses
+import functools
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -390,6 +392,41 @@ def test_hom_injective_analysis():
     assert verdict is True
 
 
+def scanned_pair_injective(h):
+    """``PairRule.injective`` by pigeonhole on the images of 0, 1, ..., |target|."""
+    if any(rings.hom_injective(c)[0] is True for c in h.rule.components):
+        return True, None
+    c = h.source.characteristic()
+    inputs = (rings.from_int(h.source, k) for k in range(min(rings.ring_size(h.target) + 1, c or math.inf)))
+    return False, rings.first_collision(functools.partial(rings.hom_apply, h), inputs)
+
+
+def _pairs_into_finite_products():
+    moduli = range(2, 31)
+    for n in moduli:
+        yield rings.pair_hom([rings.reduce_mod(n)])
+    for n, m in itertools.combinations_with_replacement(moduli, 2):
+        yield rings.pair_hom([rings.reduce_mod(n), rings.reduce_mod(m)])
+    yield rings.pair_hom([rings.reduce_mod(4), rings.unit_map(rings.Product((Z2, Z3))), rings.reduce_mod(5)])
+    for p in (2, 3, 5, 7):
+        poly = rings.Poly(rings.Mod(p))
+        for a, b in itertools.product(range(p), repeat=2):
+            yield rings.pair_hom([rings.poly_eval_at(poly, a), rings.poly_eval_at(poly, b)])
+
+
+def test_pair_injectivity_from_characteristics_matches_the_scan():
+    for h in _pairs_into_finite_products():
+        assert rings.hom_injective(h) == scanned_pair_injective(h), h
+
+
+def test_pair_injectivity_into_a_large_product_needs_no_scan():
+    h = rings.pair_hom([rings.reduce_mod(200003), rings.reduce_mod(2)])
+    assert rings.hom_injective(h) == (False, (v(rings.Z, 0), v(rings.Z, 400006)))
+    poly = rings.Poly(rings.Mod(1000003))
+    h = rings.pair_hom([rings.poly_eval_at(poly, 0), rings.poly_eval_at(poly, 1)])
+    assert rings.hom_injective(h) == (False, None)
+
+
 def test_is_field():
     assert rings.is_field(Z5)
     assert not rings.is_field(Z6)
@@ -415,13 +452,13 @@ def scan_apply(h, x):
     return rings.hom_apply(h, x)
 
 
-def reference_hom_validate(h, budget=64, seed=0):
+def reference_hom_validate(h):
     """hom_validate with every image recomputed by scan_apply."""
     if rings.is_finite(h.source):
         elems = rings.enumerate_ring(h.source)
         pairs, exhaustive = list(itertools.product(elems, elems)), True
     else:
-        (_, pairs), exhaustive = rings._validation_inputs(h.source, budget, seed), False
+        (_, pairs), exhaustive = rings._validation_inputs(h.source), False
     report = rings.ValidationReport(subject=str(h))
     zero, one = rings.zero_value(h.source), rings.one_value(h.source)
     try:
@@ -527,8 +564,7 @@ VALIDATE_CASES = {
 @pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
 def test_hom_validate_matches_the_scanning_reference(name):
     h = VALIDATE_CASES[name]
-    for budget, seed in ((64, 0), (16, 3)):
-        assert rings.hom_validate(h, budget, seed) == reference_hom_validate(h, budget, seed)
+    assert rings.hom_validate(h) == reference_hom_validate(h)
 
 
 def test_hom_validate_reports_of_the_table_cases():
