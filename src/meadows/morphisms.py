@@ -255,9 +255,11 @@ def _normalized(spec: IdealSpec, desc: rings.RingDescriptor) -> IdealSpec:
     if isinstance(spec, NZ) and spec.n == 1:
         return WholeRing()
     if isinstance(spec, FiniteSubset):
-        if rings.is_finite(desc) and spec.values == set(rings.enumerate_ring(desc)):
+        # equal sets have equal sizes: most subsets are told apart without listing the ring
+        values = spec.values
+        if rings.is_finite(desc) and len(values) == desc.size() and values == set(rings.enumerate_ring(desc)):
             return WholeRing()
-        if spec.values == {rings.zero_value(desc)}:
+        if len(values) == 1 and values == {rings.zero_value(desc)}:
             return ZeroIdeal()
     return spec
 

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from meadows import rings
 from meadows.cli import main
-from meadows.errors import ParseError, UnknownNode, ValidationFailed
+from meadows.errors import ParseError, RingTooLarge, UnknownNode, ValidationFailed
 from meadows.latfile import (
     ideal_from_dict,
     lattice_from_dict,
@@ -22,7 +22,8 @@ from meadows.latfile import (
     value_from_json,
     value_to_json,
 )
-from meadows.meadow import build_meadow
+from meadows.meadow import PreMeadow, build_meadow
+from meadows.morphisms import quotient
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -533,6 +534,26 @@ def test_cli_json_refuses_a_quotient_table_past_the_cell_bound_before_building_i
         "error": "RingTooLarge",
         "detail": "Z2049 has 2049 elements: its tables would have 4198401 cells, more than the 4194304 that are built",
     }
+
+
+@pytest.mark.parametrize("subset", [[0], [0, 1]])
+def test_a_subset_ideal_on_a_ring_past_the_listing_limit_is_refused(tmp_path, capsys, subset):
+    # building the ideal does not list Z_2000003; the CLI refuses the file
+    # when it loads the meadow, and quotient refuses the ideal of an
+    # unchecked pre-meadow when it lists the ring
+    detail = "Z2000003 has 2000003 elements, more than the 1048576 that can be listed"
+    data = _lattice({"mod": 2000003})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"t": {"subset": subset}}))
+    assert main(["--json", "quotient", str(path), "--ideal", str(ideal)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "RingTooLarge", "detail": detail}
+    m = PreMeadow(lattice_from_dict(data))
+    with pytest.raises(RingTooLarge, match=detail):
+        quotient(m, ideal_from_dict({"t": {"subset": subset}}, m))
 
 
 @pytest.mark.parametrize("samples", ["-5", "0"])
