@@ -97,10 +97,7 @@ def _finite_ring_ideals(desc: rings.RingDescriptor) -> list[frozenset]:
     if isinstance(desc, rings.Mod):
         return [frozenset(range(0, desc.n, d)) for d in range(1, desc.n + 1) if desc.n % d == 0]
     if isinstance(desc, rings.Product):
-        factor_ideals = [
-            [[rings.RingValue(f, p) for p in ideal] for ideal in _finite_ring_ideals(f)]
-            for f in desc.factors
-        ]
+        factor_ideals = [_finite_ring_ideals(f) for f in desc.factors]
         return [frozenset(itertools.product(*combo)) for combo in itertools.product(*factor_ideals)]
     return [frozenset(desc.elements())]  # the zero ring
 

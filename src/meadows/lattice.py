@@ -192,10 +192,10 @@ class DirectedLattice:
         path = []  # (node, next) steps down to j, or to the first node with a cached transition
         current = i
         while current != j and (current, j) not in self._transitions:
-            nxt = min(
-                (lo for lo in self.lattice.cover_lowers(current) if self.lattice.leq(j, lo)),
-                key=node_key,
-            )
+            lowers = [lo for lo in self.lattice.cover_lowers(current) if self.lattice.leq(j, lo)]
+            if not lowers:  # an order with a cycle: no cover lower of a node off it lies on it
+                raise NotComparable(f"no path of covers runs from {i!r} down to {j!r}: it stops at {current!r}")
+            nxt = min(lowers, key=node_key)
             path.append((current, nxt))
             current = nxt
         for current, nxt in reversed(path):

@@ -432,7 +432,7 @@ def _component_quotient(desc: rings.RingDescriptor, spec: IdealSpec):
         if isinstance(desc, rings.Product):
             kept = []
             for k, factor in enumerate(desc.factors):
-                coord = frozenset(v.payload[k] for v in spec.values)
+                coord = frozenset(rings.RingValue(factor, v.payload[k]) for v in spec.values)
                 # a whole factor collapses out of the product
                 if coord == set(rings.enumerate_ring(factor)):
                     continue

@@ -40,10 +40,11 @@ class RingDescriptor:
     """Base of the closed descriptor family.
 
     A descriptor's methods take and return raw payloads, never checking
-    them: ``canon`` (raw input to canonical payload), ``to_raw`` (its
-    inverse, JSON-ready), ``from_int``, ``add``, ``mul``, ``neg``,
-    ``is_unit``, ``inverse`` (of a unit), ``characteristic`` (None for
-    characteristic zero), ``random`` and ``format``.  A finite ring sets
+    them (no payload holds a ``RingValue``; a product's is a tuple of its
+    factors' payloads): ``canon`` (raw input to canonical payload),
+    ``to_raw`` (its inverse, JSON-ready), ``from_int``, ``add``, ``mul``,
+    ``neg``, ``is_unit``, ``inverse`` (of a unit), ``characteristic`` (None
+    for characteristic zero), ``random`` and ``format``.  A finite ring sets
     ``finite`` and gives ``size``, ``elements`` and ``index_table`` (the
     tables of ``FiniteTables``); an infinite one gives the probe payloads
     of ``sample``.  ``generators`` are payloads whose images fix a ring hom
@@ -278,7 +279,7 @@ class Poly(RingDescriptor):
         return [(self.base.from_int(0), self.base.from_int(1))]
 
     def sample(self):
-        consts = [self.canon([c.payload]) for c in sample_pool(self.base)]
+        consts = [self.canon([c]) for c in _pool(self.base)]
         x = self.variables()[0]
         return consts + [x, self.add(x, self.from_int(1))]
 
@@ -304,7 +305,7 @@ class Poly(RingDescriptor):
 
 @dataclass(frozen=True)
 class Product(RingDescriptor):
-    """Payloads are tuples of factor ``RingValue``s."""
+    """Payloads are tuples of raw factor payloads; ``canon`` also takes factor ``RingValue``s."""
 
     factors: tuple[RingDescriptor, ...]
 
@@ -324,28 +325,28 @@ class Product(RingDescriptor):
         items = tuple(raw)
         if len(items) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} coordinates, got {len(items)}")
-        return tuple(ring_value(f, it) for f, it in zip(self.factors, items))
+        return tuple(ring_value(f, it).payload for f, it in zip(self.factors, items))
 
     def to_raw(self, a):
-        return [x.ring.to_raw(x.payload) for x in a]
+        return [f.to_raw(x) for f, x in zip(self.factors, a)]
 
     def from_int(self, m):
-        return tuple(RingValue(f, f.from_int(m)) for f in self.factors)
+        return tuple(f.from_int(m) for f in self.factors)
 
     def add(self, a, b):
-        return tuple(RingValue(f, f.add(x.payload, y.payload)) for f, x, y in zip(self.factors, a, b))
+        return tuple(f.add(x, y) for f, x, y in zip(self.factors, a, b))
 
     def mul(self, a, b):
-        return tuple(RingValue(f, f.mul(x.payload, y.payload)) for f, x, y in zip(self.factors, a, b))
+        return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
 
     def neg(self, a):
-        return tuple(RingValue(f, f.neg(x.payload)) for f, x in zip(self.factors, a))
+        return tuple(f.neg(x) for f, x in zip(self.factors, a))
 
     def is_unit(self, a):
-        return all(f.is_unit(x.payload) for f, x in zip(self.factors, a))
+        return all(f.is_unit(x) for f, x in zip(self.factors, a))
 
     def inverse(self, a):
-        return tuple(RingValue(f, f.inverse(x.payload)) for f, x in zip(self.factors, a))
+        return tuple(f.inverse(x) for f, x in zip(self.factors, a))
 
     def characteristic(self):
         chars = [f.characteristic() for f in self.factors]
@@ -354,18 +355,18 @@ class Product(RingDescriptor):
     def generators(self):
         # each idempotent e_i, and each factor's generators at coordinate i:
         # a hom restricted to coordinate i is a unital hom into f(e_i)S
-        zeros = [RingValue(f, f.from_int(0)) for f in self.factors]
+        zeros = [f.from_int(0) for f in self.factors]
         out = []
         for i, f in enumerate(self.factors):
             for g in [f.from_int(1), *f.generators()]:
-                out.append(tuple(zeros[:i] + [RingValue(f, g)] + zeros[i + 1 :]))
+                out.append(tuple(zeros[:i] + [g] + zeros[i + 1 :]))
         return out
 
     def size(self):
         return math.prod(f.size() for f in self.factors)
 
     def elements(self):
-        return list(itertools.product(*[enumerate_ring(f) for f in self.factors]))
+        return list(itertools.product(*map(_listed, self.factors)))
 
     def index_table(self, name: str) -> list[list[int]]:
         # mixed radix, the last factor fastest, as ``elements`` orders them
@@ -380,14 +381,13 @@ class Product(RingDescriptor):
         return table
 
     def sample(self):
-        pools = [sample_pool(f) for f in self.factors]
-        return list(itertools.islice(itertools.product(*pools), 64))
+        return list(itertools.islice(itertools.product(*map(_pool, self.factors)), 64))
 
     def random(self, rng):
-        return tuple(RingValue(f, f.random(rng)) for f in self.factors)
+        return tuple(f.random(rng) for f in self.factors)
 
     def format(self, a):
-        return "(" + ", ".join(format_value(x) for x in a) + ")"
+        return "(" + ", ".join(_format(f, x) for f, x in zip(self.factors, a)) + ")"
 
 
 @dataclass(frozen=True)
@@ -583,11 +583,15 @@ def enumerate_ring(desc: RingDescriptor) -> list[RingValue]:
     A finite ring of more than ``ENUMERATION_LIMIT`` elements is refused
     before anything is built.
     """
+    return [RingValue(desc, p) for p in _listed(desc)]
+
+
+def _listed(desc: RingDescriptor) -> list:
     if desc.finite and desc.size() > ENUMERATION_LIMIT:
         raise RingTooLarge(
             f"{desc} has {desc.size()} elements, more than the {ENUMERATION_LIMIT} that can be listed"
         )
-    return [RingValue(desc, p) for p in desc.elements()]
+    return desc.elements()
 
 
 def check_cells(what: str, n: int) -> None:
@@ -641,9 +645,11 @@ def is_field(desc: RingDescriptor) -> bool:
 
 def sample_pool(desc: RingDescriptor) -> list[RingValue]:
     """Fixed deterministic probe set; the full carrier when finite."""
-    if is_finite(desc):
-        return enumerate_ring(desc)
-    return [RingValue(desc, p) for p in desc.sample()]
+    return [RingValue(desc, p) for p in _pool(desc)]
+
+
+def _pool(desc: RingDescriptor) -> list:
+    return _listed(desc) if desc.finite else desc.sample()
 
 
 def random_value(desc: RingDescriptor, rng: random.Random) -> RingValue:
@@ -651,11 +657,15 @@ def random_value(desc: RingDescriptor, rng: random.Random) -> RingValue:
 
 
 def format_value(v: RingValue) -> str:
+    return _format(v.ring, v.payload)
+
+
+def _format(desc: RingDescriptor, p) -> str:
     try:
-        return v.ring.format(v.payload)
+        return desc.format(p)
     except ValueError as exc:  # an int past Python's int/str digit limit
         raise ValueTooLarge(
-            f"a value of {v.ring} is past Python's int/str digit limit and cannot be printed"
+            f"a value of {desc} is past Python's int/str digit limit and cannot be printed"
         ) from exc
 
 
@@ -800,8 +810,7 @@ class Project(HomRule):
     index: int
 
     def compile(self, h):
-        index = self.index
-        return lambda p: p[index].payload
+        return operator.itemgetter(self.index)
 
     def injective(self, h):
         # injective iff no other coordinate can vary freely
@@ -819,8 +828,8 @@ class PairRule(HomRule):
     components: tuple["RingHom", ...]
 
     def compile(self, h):
-        parts = tuple((c.target, c.fn) for c in self.components)
-        return lambda p: tuple(RingValue(t, fn(p)) for t, fn in parts)
+        fns = tuple(c.fn for c in self.components)
+        return lambda p: tuple(fn(p) for fn in fns)
 
     def injective(self, h):
         if any(hom_injective(c)[0] is True for c in self.components):

@@ -280,7 +280,7 @@ def test_multiplicativity_witness_matches_reference():
     meadows = small_meadows()
     src, dst = meadows["z2cube"], meadows["z2"]
     mapping = {
-        x: dst.a if x.node == "a" else dst.element("top", sum(c.payload for c in x.value.payload))
+        x: dst.a if x.node == "a" else dst.element("top", sum(x.value.payload))
         for x in src.elements()
     }
     case = lift(src, dst, mapping)

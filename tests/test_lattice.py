@@ -305,6 +305,19 @@ def test_transition_still_rejects_unknown_and_incomparable_nodes():
             dl.transition("q1", "z")
 
 
+def test_transition_into_a_cycle_raises_not_comparable_naming_the_stall():
+    # x and y lie below each other, so neither is a cover lower of t
+    cycle = Lattice(["t", "x", "y", "a"], [("a", "x"), ("x", "y"), ("y", "x"), ("x", "t"), ("y", "t")])
+    z2, z4 = rings.Mod(2), rings.Mod(4)
+    dl = DirectedLattice(
+        cycle,
+        {"t": z4, "x": z2, "y": z2, "a": rings.ZERO},
+        {("t", "x"): rings.mod_to_mod(4, 2), ("t", "y"): rings.mod_to_mod(4, 2)},
+    )
+    with pytest.raises(NotComparable, match=r"from 't' down to 'x': it stops at 't'"):
+        dl.transition("t", "x")
+
+
 def reference_path_checks(dl):
     """Path independence triple by triple: inputs, composite and images redone each time."""
     from meadows.report import ValidationReport

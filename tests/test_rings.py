@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from meadows import rings
 from meadows.enumeration import enumerate_ring_homs
-from meadows.errors import DescriptorMismatch, InfiniteCarrier, NotAUnit, RingTooLarge, TableIncomplete
+from meadows.errors import DescriptorMismatch, InfiniteCarrier, NotAUnit, RingTooLarge, TableIncomplete, ValueTooLarge
 
 Z2 = rings.Mod(2)
 Z3 = rings.Mod(3)
@@ -199,7 +200,7 @@ def test_enumerate_mod3():
 
 
 def test_enumerate_product_order():
-    got = [tuple(c.payload for c in x.payload) for x in rings.enumerate_ring(rings.Product((Z2, Z2)))]
+    got = [x.payload for x in rings.enumerate_ring(rings.Product((Z2, Z2)))]
     assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -246,14 +247,27 @@ def test_finite_tables_match_brute_force(desc):
     assert_tables_match(desc)
 
 
-def _small_finite_descriptors():
-    leaves = st.integers(2, 12).map(rings.Mod)
-    products = st.recursive(
+def _products_over(leaves):
+    return st.recursive(
         leaves,
         lambda inner: st.lists(inner, min_size=1, max_size=3).map(lambda fs: rings.Product(tuple(fs))),
         max_leaves=4,
     )
+
+
+def _small_finite_descriptors():
+    products = _products_over(st.integers(2, 12).map(rings.Mod))
     return st.one_of(st.just(rings.ZERO), products).filter(lambda d: rings.ring_size(d) <= 64)
+
+
+def _small_descriptors():
+    """The small finite descriptors, and products with Z, Q and polynomial factors."""
+    leaves = st.one_of(
+        st.integers(2, 12).map(rings.Mod),
+        st.sampled_from([rings.Z, rings.Q, rings.Poly(rings.Q), rings.Poly(rings.Mod(3))]),
+    )
+    infinite = _products_over(leaves).filter(lambda d: not d.finite)
+    return st.one_of(_small_finite_descriptors(), infinite)
 
 
 # the brute-force reference takes ~250 ms on a 64-element product
@@ -261,6 +275,39 @@ def _small_finite_descriptors():
 @given(_small_finite_descriptors())
 def test_finite_tables_match_brute_force_on_drawn_rings(desc):
     assert_tables_match(desc)
+
+
+def _holds_a_ring_value(p) -> bool:
+    if isinstance(p, rings.RingValue):
+        return True
+    return isinstance(p, tuple) and any(_holds_a_ring_value(c) for c in p)
+
+
+@settings(deadline=None)
+@given(_small_descriptors(), st.integers(0, 2**32))
+def test_payloads_are_raw_at_every_depth(desc, seed):
+    rng = random.Random(seed)
+    payloads = [desc.from_int(k) for k in (0, 1, -1, 2)]
+    payloads += [desc.random(rng) for _ in range(4)]
+    payloads += desc.generators()
+    payloads += [x.payload for x in rings.sample_pool(desc)]
+    pairs = list(zip(payloads, payloads[1:] + payloads[:1]))
+    payloads += [desc.add(a, b) for a, b in pairs] + [desc.mul(a, b) for a, b in pairs]
+    payloads += [desc.neg(a) for a in payloads]
+    payloads += [desc.inverse(a) for a in payloads if desc.is_unit(a)]
+    images = []
+    if isinstance(desc, rings.Product):
+        projections = [rings.project(desc, k) for k in range(len(desc.factors))]
+        pair = rings.pair_hom(projections)
+        for p in payloads:
+            images += [h.fn(p) for h in projections] + [pair.fn(p)]
+            assert pair.fn(p) == p
+            # a coordinate may be given as a factor's value
+            assert desc.canon([rings.RingValue(f, x) for f, x in zip(desc.factors, p)]) == p
+    for p in payloads + images:
+        assert not _holds_a_ring_value(p), (desc, p)
+    for p in payloads:
+        assert desc.canon(desc.to_raw(p)) == p, (desc, p)
 
 
 def test_finite_tables_refuse_infinite_rings():
@@ -687,9 +734,9 @@ def test_generators_of_each_descriptor():
     zero, one = v(Z2, 0), v(Z2, 1)
     x, zx = v(Z3X, [0, 1]), v(Z3X, [])
     assert rings.Product((Z2, Z3X)).generators() == [
-        (one, zx),
-        (zero, v(Z3X, [1])),
-        (zero, x),
+        (one.payload, zx.payload),
+        (zero.payload, v(Z3X, [1]).payload),
+        (zero.payload, x.payload),
     ]
 
 
@@ -700,6 +747,15 @@ def test_enumeration_refuses_a_ring_too_large_to_list():
         with pytest.raises(RingTooLarge):
             rings.FiniteTables(desc)
     assert len(rings.enumerate_ring(rings.Product((rings.Mod(2**10), rings.Mod(2**10))))) == 2**20
+    # a finite factor of an infinite product is listed only under the same limit
+    with pytest.raises(RingTooLarge, match=re.escape(str(rings.Mod(2**20 + 1)))):
+        rings.sample_pool(rings.Product((rings.Mod(2**20 + 1), rings.Z)))
+
+
+def test_a_product_coordinate_too_large_to_print_is_named_by_its_factor():
+    big = v(rings.Product((Z2, rings.Z)), (1, 10**5000))
+    with pytest.raises(ValueTooLarge, match=r"^a value of Z is past"):
+        str(big)
 
 
 def test_tables_past_the_cell_bound_are_refused():
