@@ -380,6 +380,29 @@ class Meadow(PreMeadow):
                 units[j] = q
         return units
 
+    def _unit_stops(self, x) -> list:
+        """Where a walk down the covers from the node of the pair x stops: the
+        node itself if x is a unit there, else the first node on each branch
+        at which its image is a unit.  These nodes lie among ``_units(x)``,
+        and each maximal node of ``_units(x)`` is one of them (no node above
+        it on a cover path down to it is a unit node), so both sets have
+        the same maximal nodes, on any data."""
+        node, p = x
+        ring_at, transition, lowers = self.dl.ring_at, self.dl.transition, self.lattice.cover_lowers
+        if ring_at[node].is_unit(p):
+            return [node]
+        stops, seen, todo = [], {node}, list(lowers(node))
+        while todo:
+            j = todo.pop()
+            if j in seen:
+                continue
+            seen.add(j)
+            if ring_at[j].is_unit(transition(node, j).fn(p)):
+                stops.append(j)
+            else:
+                todo += lowers(j)
+        return stops
+
     def _inverse(self, x) -> tuple:
         units = self._units(x)
         maximal = self.lattice.maximal(units)
@@ -460,11 +483,25 @@ def build_premeadow(dl: DirectedLattice) -> PreMeadow:
     return PreMeadow(dl)
 
 
-def _verify_inverses(pre: Meadow, probes) -> None:
-    for x in probes:
-        w = pre.inverse_witness(x)
-        if len(w.maximal) != 1:
-            raise AmbiguousInverse(x, w.maximal)
+def _verify_inverses(m: Meadow) -> None:
+    """Raise ``AmbiguousInverse`` at the first probe, in ``probe_pool()``
+    order, whose image is a unit at more than one maximal node below it.
+
+    The probes are walked as (node, payload) pairs, node by node, and each
+    is certified by its cover descent (``Meadow._unit_stops``), which finds
+    the maximal nodes of ``inverse_witness`` without imaging the probe into
+    its whole down-set.  An element is built only for the error.
+    """
+    ring_at, maximal = m.dl.ring_at, m.lattice.maximal
+    # every node's probe payloads first: a ring too large to list is refused before any probe
+    pools = [(node, rings._pool(ring_at[node])) for node in m.lattice.nodes]
+    for node, payloads in pools:
+        for p in payloads:
+            stops = m._unit_stops((node, p))
+            if len(stops) > 1:
+                tops = maximal(stops)
+                if len(tops) != 1:
+                    raise AmbiguousInverse(m._wrap((node, p)), tops)
 
 
 def build_meadow(dl: DirectedLattice, mode: str = "verify") -> Meadow:
@@ -474,6 +511,9 @@ def build_meadow(dl: DirectedLattice, mode: str = "verify") -> Meadow:
     infinite carrier, verify mode probes the fixed sample pool of every
     component and the result stays "lazy": each later inverse call
     re-checks its own element.  Lazy mode skips the upfront scan entirely.
+    Certification (``_verify_inverses``) walks the probes' payloads node by
+    node, descending the covers, and builds no carrier: ``elements()`` is
+    left for the first caller that reads it.
     """
     if mode not in ("verify", "lazy"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -481,5 +521,5 @@ def build_meadow(dl: DirectedLattice, mode: str = "verify") -> Meadow:
     if mode == "lazy":
         return Meadow(dl, status="lazy")
     m = Meadow(dl, status="verified" if dl.is_finite() else "lazy")
-    _verify_inverses(m, m.probe_pool())
+    _verify_inverses(m)
     return m

@@ -373,12 +373,16 @@ def test_path_independence_checks_match_the_reference(name, dl):
     report = dl_validate(dl)
     got = [c for c in report.checks if c.name.startswith("path_")]
     want = reference_path_checks(dl).checks
+    exact = not any(c.sampled for c in report.checks if c.name.startswith("edge("))
+    if report.ok and exact:
+        # a passing report on exact data lists the cover triples only
+        want = corpus.without_implied_path_checks(dl.lattice, want)
     if dl.is_finite():
         assert got == want
         return
     # on infinite rings the verdict comes from generators, not from the sample
     assert [(c.name, c.passed, c.witness) for c in got] == [(c.name, c.passed, c.witness) for c in want]
-    if not any(c.sampled for c in report.checks if c.name.startswith("edge(")):
+    if exact:
         assert not any(c.sampled for c in got)
 
 
