@@ -8,7 +8,6 @@ may be a disjunction of equations (separated by '|').
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -187,7 +186,18 @@ def _index(m: PreMeadow, exhaustive: bool):
     return m.lazy_index
 
 
-@functools.cache
+_COMPILED: dict = {}  # id(law) -> (law, _compile(law)); holding the law keeps its id unique
+
+
+def _compiled(l: Law):
+    """``_compile(l)``, compiled once per law object (looked up by identity,
+    so no call hashes the law's terms)."""
+    got = _COMPILED.get(id(l))
+    if got is None:
+        got = _COMPILED[id(l)] = (l, _compile(l))
+    return got[1]
+
+
 def _compile(l: Law):
     """(make_scan, tables read, closed terms read) for the law.
 
@@ -258,9 +268,13 @@ def _compile(l: Law):
 
 
 def _scan(l: Law, m: PreMeadow, ix):
-    make_scan, names, constants = _compile(l)
+    make_scan, names, constants = _compiled(l)
     args = {name: getattr(ix, name) for name in names}
-    args.update((f"c{k}", ix.key(eval_term(c, m))) for k, c in enumerate(constants))
+    located = ix.constants  # each closed term is evaluated and located once per index
+    for k, c in enumerate(constants):
+        if c not in located:
+            located[c] = ix.key(eval_term(c, m))
+        args[f"c{k}"] = located[c]
     scan_keys = make_scan(power=_power, **args)
 
     def scan(tuples):
@@ -324,7 +338,7 @@ def check_axioms(
     finite = m.is_finite()
     if exhaustive is None:
         max_arity = max((len(l.variables) for l in laws), default=0)
-        exhaustive = finite and len(m.probe_pool()) ** max_arity <= EXHAUSTIVE_TUPLE_LIMIT
+        exhaustive = finite and len(m.freeze_tables().pool) ** max_arity <= EXHAUSTIVE_TUPLE_LIMIT
     if exhaustive and not finite:
         raise InfiniteCarrier("exhaustive checking needs a finite carrier")
 
@@ -335,7 +349,7 @@ def check_axioms(
         pool = [x for x in pool if zero_of[x] == zero_of[inverse[x]]]
     scans = [_scan(l, m, ix) for l in laws]
 
-    rng = random.Random(seed)
+    rng = None if exhaustive else random.Random(seed)  # an exhaustive check draws nothing
     results = [_check_law(l, scan, pool, exhaustive, budget, rng) for l, scan in zip(laws, scans)]
     complete = exhaustive or (finite and all(len(pool) ** len(l.variables) <= budget for l in laws))
     mode = EXHAUSTIVE if complete else sampled(budget)

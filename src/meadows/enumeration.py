@@ -67,7 +67,7 @@ def enumerate_ring_homs(src: rings.RingDescriptor, dst: rings.RingDescriptor) ->
     """Every unital ring hom between two finite rings, as table homs."""
     s, d = rings.FiniteTables(src), rings.FiniteTables(dst)
     seeds = {s.index[src.from_int(1)]: d.index[dst.from_int(1)]}
-    maps = _search_maps(len(s.elements), len(d.elements), s.add, s.mul, d.add, d.mul, seeds)
+    maps = _search_maps(len(s.payloads), len(d.payloads), s.add, s.mul, d.add, d.mul, seeds)
     return [
         rings.table_hom(src, dst, [(s.elements[i], d.elements[j]) for i, j in m.items()])
         for m in maps
@@ -81,7 +81,7 @@ def enumerate_meadow_hom_maps(m: PreMeadow, n: PreMeadow) -> list[dict]:
     the search, everything else is forced or branched on.
     """
     src, dst = m.freeze_tables(), n.freeze_tables()
-    seeds = {src.position[m.one]: dst.position[n.one]}
+    seeds = {src.key(m.one): dst.key(n.one)}
     maps = _search_maps(
         len(src.elements), len(dst.elements), src.add, src.mul, dst.add, dst.mul, seeds
     )

@@ -41,6 +41,10 @@ class NotComparable(MeadowError):
     """A transition was requested between incomparable nodes."""
 
 
+class NotALattice(MeadowError, ValueError):
+    """An order lacks a meet, or a unique top or bottom, that was asked for."""
+
+
 class ValidationFailed(MeadowError):
     """A structure failed validation; carries the full report."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from . import rings
-from .errors import DescriptorMismatch, NotComparable, UnknownNode
+from .errors import DescriptorMismatch, NotALattice, NotComparable, UnknownNode
 from .report import CheckResult, ValidationReport
 
 
@@ -104,19 +104,19 @@ class Lattice:
             self._check(i, j)  # only nodes reach the cache
             got = self._meet_cache[(i, j)] = self._glb(i, j)
         if got is None:
-            raise ValueError(f"nodes {i!r} and {j!r} have no meet")
+            raise NotALattice(f"nodes {i!r} and {j!r} have no meet")
         return got
 
     @property
     def top(self):
         if len(self._tops) != 1:
-            raise ValueError("lattice has no unique top")
+            raise NotALattice("lattice has no unique top")
         return next(iter(self._tops))
 
     @property
     def bottom(self):
         if len(self._bottoms) != 1:
-            raise ValueError("lattice has no unique bottom")
+            raise NotALattice("lattice has no unique bottom")
         return next(iter(self._bottoms))
 
     def covers(self) -> tuple[tuple, ...]:
@@ -166,7 +166,7 @@ class DirectedLattice:
         homs = dict(edge_homs or {})
         try:
             bottom = lattice.bottom
-        except ValueError:
+        except NotALattice:
             bottom = None
         for up, lo in lattice.covers():
             if lo == bottom and (up, lo) not in homs:
@@ -194,12 +194,15 @@ class DirectedLattice:
         if not self.lattice.leq(j, i):
             raise NotComparable(f"{j!r} is not below {i!r}")
         path = []  # (node, next) steps down to j, or to the first node with a cached transition
-        current = i
+        current, seen = i, {i}
         while current != j and (current, j) not in self._transitions:
             lowers = [lo for lo in self.lattice.cover_lowers(current) if self.lattice.leq(j, lo)]
             if not lowers:  # an order with a cycle: no cover lower of a node off it lies on it
                 raise NotComparable(f"no path of covers runs from {i!r} down to {j!r}: it stops at {current!r}")
             nxt = min(lowers, key=node_key)
+            if nxt in seen:  # an order with a cycle: the walk came back round it
+                raise NotComparable(f"no path of covers runs from {i!r} down to {j!r}: it cycles at {nxt!r}")
+            seen.add(nxt)
             path.append((current, nxt))
             current = nxt
         for current, nxt in reversed(path):

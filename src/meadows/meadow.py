@@ -14,8 +14,10 @@ the result as one ``MeadowElement``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import rings
@@ -221,75 +223,111 @@ class PreMeadow:
 class CarrierIndex:
     """Index view of a finite carrier: ``elements[i]`` is element i.
 
-    ``add`` and ``mul`` are N x N tables of element indices, ``neg``,
-    ``zero_of`` and ``inverse`` are length-N lists (``inverse`` needs a
-    meadow).  Each table is built the first time it is read, and a binary
-    one past ``rings.TABLE_CELL_LIMIT`` cells is refused.  ``key`` and
-    ``element`` map an element to its index and back, as a ``LazyIndex``
-    does, and ``pool`` is every index.  The binary
-    tables are assembled from the ring tables (``rings.FiniteTables``, one
-    per distinct ring) at the meet nodes and the transition maps as index
-    lists, so every entry is what the element operation returns.
+    Elements are numbered node by node, in node order, each node's in its
+    ring's payload order (``rings.FiniteTables``): element i of node n has
+    index start(n) + i, where start(n) counts the elements of the nodes
+    before n.  ``add`` and ``mul`` are N x N tables of element indices,
+    ``neg``, ``zero_of`` and ``inverse`` are length-N lists (``inverse``
+    needs a meadow).  Each table is built the first time it is read, and a
+    binary one past ``rings.TABLE_CELL_LIMIT`` cells is refused.  ``key``
+    and ``element`` map an element to its index and back, as a
+    ``LazyIndex`` does, and ``pool`` is every index; neither builds
+    ``elements`` or ``position``, which are built when first read.
+    ``constants`` holds the index of each closed term a law scan located.
+
+    The tables are read off the ring tables through push lists: the
+    ring-local index at node k of the image of each element of node i.
+    Row x of ``add`` (or ``mul``) runs over the nodes j, and at each takes
+    the ring table's row at the meet k of x's node and j, indexed by x's
+    push to k, gathered at the pushes of j's elements to k.  Inverses come
+    from each ring's inverse list, read through the same push lists: x
+    inverts at the maximal nodes below it where its push is a unit.
+    So every entry is what the element operation returns.
     """
 
     def __init__(self, m: PreMeadow):
+        if not m.is_finite():
+            raise InfiniteCarrier("carrier is infinite")
         self.meadow = m
-        self.elements = m.elements()
-        self.position = {x: i for i, x in enumerate(self.elements)}
-        self._start: dict = {}  # node -> index of its first element
-        self._values: dict = {}  # node -> ring values in carrier order
-        for i, x in enumerate(self.elements):
-            self._start.setdefault(x.node, i)
-            self._values.setdefault(x.node, []).append(x.value)
         tables: dict = {}  # ring -> its FiniteTables, shared by the nodes carrying it
-        self._rings = {}  # node -> the FiniteTables of its ring
-        for n in self._values:
+        self._rings: dict = {}  # node -> the FiniteTables of its ring
+        self._start: dict = {}  # node -> index of its first element
+        size = 0
+        for n in m.lattice.nodes:
             desc = m.dl.ring_at[n]
             if desc not in tables:
                 tables[desc] = rings.FiniteTables(desc)
             self._rings[n] = tables[desc]
+            self._start[n] = size
+            size += len(tables[desc].payloads)
+        self._nodes, self._starts = list(self._start), list(self._start.values())
         self._pushes: dict = {}
-        self.pool = range(len(self.elements))
+        self.pool = range(size)
+        self.constants: dict = {}  # closed term -> its index, filled by the law scans
+
+    @functools.cached_property
+    def elements(self) -> list[MeadowElement]:
+        return self.meadow.elements()
+
+    @functools.cached_property
+    def position(self) -> dict:
+        return {x: i for i, x in enumerate(self.elements)}
 
     def key(self, x: MeadowElement) -> int:
-        return self.position[x]
-
-    def element(self, k: int) -> MeadowElement:
-        return self.elements[k]
-
-    def _push(self, i, k) -> list[int]:
-        """Local index at node k of the image of each value at node i."""
-        key = (i, k)
-        if key not in self._pushes:
-            fn, local = self.meadow.dl.transition(i, k).fn, self._rings[k].index
-            self._pushes[key] = [local[fn(v.payload)] for v in self._values[i]]
-        return self._pushes[key]
-
-    def _locate(self, pair) -> int:
-        """Index of the element given as a (node, payload) pair."""
-        node, payload = pair
+        node, payload = self.meadow._pair(x)
         return self._start[node] + self._rings[node].index[payload]
 
-    def _binary(self, op: str) -> list[list[int]]:
-        rings.check_cells("the carrier", len(self.elements))
-        meet = self.meadow.lattice.meet
-        rows = []
-        for i in self._values:
-            blocks = []
-            for j in self._values:
-                k = meet(i, j)
-                table = getattr(self._rings[k], op)
-                blocks.append((self._push(i, k), self._push(j, k), table, self._start[k]))
-            for a in range(len(self._values[i])):
-                row = []
-                for left, right, table, start in blocks:
-                    images = table[left[a]]
-                    row += [start + images[b] for b in right]
-                rows.append(row)
-        return rows
+    def element(self, k: int) -> MeadowElement:
+        node = self._nodes[bisect.bisect_right(self._starts, k) - 1]
+        return self.meadow._wrap((node, self._rings[node].payloads[k - self._start[node]]))
 
-    def _unary(self, pair_fn) -> list[int]:
-        return [self._locate(pair_fn((x.node, x.value.payload))) for x in self.elements]
+    def _push(self, i, k) -> tuple:
+        """(push list, gather) from node i to node k below it: the local
+        index at k of the image of each element of i, and ``_gather`` of it."""
+        got = self._pushes.get((i, k))
+        if got is None:
+            payloads = self._rings[i].payloads
+            if i == k:
+                got = range(len(payloads)), None
+            else:
+                fn, local = self.meadow.dl.transition(i, k).fn, self._rings[k].index
+                images = [local[fn(p)] for p in payloads]
+                got = images, _gather(images)
+            self._pushes[(i, k)] = got
+        return got
+
+    @functools.cached_property
+    def _plan(self) -> list[list[tuple]]:
+        """Per node i, its blocks: for each node j in turn, the meet k of i
+        and j, the push list of i to k, and the gather that picks the pushes
+        of j's elements to k out of a row of k's table (None when j is k).
+        Shared by ``add`` and ``mul``."""
+        meet, push = self.meadow.lattice.meet, self._push
+        plan = []
+        for i in self._nodes:
+            blocks = []
+            for j in self._nodes:
+                k = meet(i, j)
+                blocks.append((k, push(i, k)[0], push(j, k)[1]))
+            plan.append(blocks)
+        return plan
+
+    def _binary(self, op: str) -> list[list[int]]:
+        rings.check_cells("the carrier", len(self.pool))
+        plan, shifted = self._plan, {}  # node -> its ring's table, offset by the node's start
+        for k in self._nodes:
+            start, table = self._start[k], getattr(self._rings[k], op)
+            shifted[k] = table if start == 0 else [[start + c for c in row] for row in table]
+        rows: list = []
+        for blocks in plan:
+            # row x of node i chains, over the nodes j, the gathered row of
+            # the meet's table at x's push: one C-level pass per block
+            pieces = []
+            for k, left, gather in blocks:
+                cut = map(shifted[k].__getitem__, left)
+                pieces.append(cut if gather is None else map(gather, cut))
+            rows += map(list, map(itertools.chain, *pieces))
+        return rows
 
     @functools.cached_property
     def add(self) -> list[list[int]]:
@@ -301,15 +339,66 @@ class CarrierIndex:
 
     @functools.cached_property
     def neg(self) -> list[int]:
-        return self._unary(self.meadow._neg)
+        return [self._start[n] + b for n, t in self._rings.items() for b in t.neg]
 
     @functools.cached_property
     def zero_of(self) -> list[int]:
-        return self._unary(self.meadow._zero_of)
+        # a ring's zero is its element 0, so each node's zero is its first element
+        return [self._start[n] for n, t in self._rings.items() for _ in t.payloads]
 
     @functools.cached_property
     def inverse(self) -> list[int]:
-        return self._unary(self.meadow._inverse)
+        inverse_of = self.meadow._inverse  # a pre-meadow has none: fails here
+        try:
+            return self._inverses()
+        except AmbiguousInverse:
+            raise
+        except Exception:
+            # whatever a push list met, the element path, element by element in
+            # carrier order, raises its own first error (or builds this table)
+            pairs = ((n, p) for n, t in self._rings.items() for p in t.payloads)
+            return [self.key(self.meadow._wrap(inverse_of(x))) for x in pairs]
+
+    def _inverses(self) -> list[int]:
+        """Node by node.  Column j holds, for each element, the local index
+        at node j of the inverse of its push there, None where that is not
+        a unit.  The maximal nodes of each distinct set of unit columns are
+        found once, at its first element in carrier order, where an
+        ambiguous one raises."""
+        lattice = self.meadow.lattice
+        out: list = []
+        for i, t in self._rings.items():
+            down = lattice.down_set(i)
+            below = [j for j in self._nodes if j in down]
+            columns = [list(map(self._rings[j].inverse.__getitem__, self._push(i, j)[0])) for j in below]
+            own, nones = below.index(i), [None] * len(below)
+            tops: dict = {}  # which columns are units -> (start of the node it inverts at, its column)
+            for a, row in enumerate(zip(*columns)):
+                units = tuple(map(operator.is_not, row, nones))
+                top = tops.get(units)
+                if top is None:
+                    # a unit at its own node inverts there when the order has no cycle
+                    # through i; one unit column is its own maximal node on any order
+                    if units[own] and lattice._antisymmetric:
+                        c = own
+                    elif units.count(True) == 1:
+                        c = units.index(True)
+                    else:
+                        found = lattice.maximal(itertools.compress(below, units))
+                        if len(found) != 1:
+                            raise AmbiguousInverse(self.meadow._wrap((i, t.payloads[a])), found)
+                        c = below.index(*found)
+                    top = tops[units] = self._start[below[c]], c
+                out.append(top[0] + row[top[1]])
+        return out
+
+
+def _gather(indices: list[int]) -> operator.itemgetter:
+    """``row -> [row[b] for b in indices]`` as one C-level call returning a
+    sequence, for a single index too."""
+    if len(indices) == 1:
+        return operator.itemgetter(slice(indices[0], indices[0] + 1))
+    return operator.itemgetter(*indices)
 
 
 class _Memo(dict):
@@ -347,6 +436,7 @@ class LazyIndex:
         self.zero_of = _Memo(lambda x: number(m._zero_of(pair(x))))
         self.inverse = _Memo(lambda x: number(m._inverse(pair(x))))  # a pre-meadow has none: fails when read
         self.pool = [number(m._pair(x)) for x in m.probe_pool()]
+        self.constants: dict = {}  # closed term -> its index, filled by the law scans
 
     def _number(self, pair) -> int:
         k = self.position.get(pair)

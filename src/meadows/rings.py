@@ -211,8 +211,11 @@ class Mod(RingDescriptor):
         return list(range(self.n))
 
     def index_table(self, name: str) -> list[list[int]]:
-        n, op = self.n, getattr(operator, name)
-        return [[op(i, j) % n for j in range(n)] for i in range(n)]
+        n = self.n
+        if name == "add":  # row i: i, i + 1, ..., n - 1, 0, ..., i - 1
+            return [[*range(i, n), *range(i)] for i in range(n)]
+        # row i: 0, i, 2i, ... reduced mod n
+        return [[0] * n] + [list(map(n.__rmod__, range(0, i * n, i))) for i in range(1, n)]
 
     def random(self, rng):
         return rng.randrange(self.n)
@@ -605,30 +608,45 @@ def check_cells(what: str, n: int) -> None:
 class FiniteTables:
     """A finite ring numbered 0..N-1 in ``enumerate_ring`` order.
 
-    ``elements[i]`` is element i and ``index`` maps its payload back to i;
-    ``add`` and ``mul`` are N x N tables of element indices, each built
-    the first time it is read by the descriptor's ``index_table`` (past
-    ``TABLE_CELL_LIMIT`` cells, ``RingTooLarge``).  A
+    ``payloads[i]`` is the payload of element i (element 0 is the zero)
+    and ``index`` maps it back to i; ``elements`` wraps them as
+    ``RingValue``s.  ``add`` and ``mul``
+    are N x N tables of element indices, built by the descriptor's
+    ``index_table`` (past ``TABLE_CELL_LIMIT`` cells, ``RingTooLarge``);
+    ``neg`` lists the index of each element's negative, and ``inverse``
+    that of its inverse, None where it is not a unit.  Everything but
+    ``payloads`` and ``index`` is built the first time it is read.  A
     product's order is mixed radix with the last factor fastest, so its
     tables combine the factor tables with integer arithmetic alone.
     """
 
     def __init__(self, desc: RingDescriptor):
         self.desc = desc
-        self.elements = enumerate_ring(desc)
+        self.payloads = _listed(desc)
+        self.index = {p: i for i, p in enumerate(self.payloads)}
 
     @functools.cached_property
-    def index(self) -> dict:
-        return {v.payload: i for i, v in enumerate(self.elements)}
+    def elements(self) -> list[RingValue]:
+        return [RingValue(self.desc, p) for p in self.payloads]
+
+    @functools.cached_property
+    def neg(self) -> list[int]:
+        index, neg = self.index, self.desc.neg
+        return [index[neg(p)] for p in self.payloads]
+
+    @functools.cached_property
+    def inverse(self) -> list[int | None]:
+        index, desc = self.index, self.desc
+        return [index[desc.inverse(p)] if desc.is_unit(p) else None for p in self.payloads]
 
     @functools.cached_property
     def add(self) -> list[list[int]]:
-        check_cells(str(self.desc), len(self.elements))
+        check_cells(str(self.desc), len(self.payloads))
         return self.desc.index_table("add")
 
     @functools.cached_property
     def mul(self) -> list[list[int]]:
-        check_cells(str(self.desc), len(self.elements))
+        check_cells(str(self.desc), len(self.payloads))
         return self.desc.index_table("mul")
 
 
@@ -1084,7 +1102,7 @@ def hom_validate(h: RingHom) -> ValidationReport:
     """
     if is_finite(h.source):
         src = FiniteTables(h.source)
-        if is_finite(h.target) and ring_size(h.target) <= len(src.elements):
+        if is_finite(h.target) and ring_size(h.target) <= len(src.payloads):
             try:
                 return _validate_on_index(h, src, src if h.target == h.source else FiniteTables(h.target))
             except _OffTarget:

@@ -1,12 +1,15 @@
 """Shared corpus of finite directed lattices and homs for the test suite.
 
-Every lattice here has at most 6 nodes, components drawn from residue
-rings and their products, and a carrier of at most 200 elements.
+Every corpus lattice has at most 6 nodes, components drawn from residue
+rings and their products, and a carrier of at most 200 elements.  The
+builders beside them make the divisor lattices of a modulus and a diamond
+whose edge table misses an input, for the differential tests.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 from meadows import rings
 from meadows.lattice import DirectedLattice, Lattice
@@ -145,6 +148,52 @@ def without_implied_path_checks(L: Lattice, checks) -> list:
     implied = {c.name: c.passed for c in checks if c.name.startswith("path_independence(") and c.name not in covers}
     assert all(implied.values())
     return [c for c in checks if c.name not in implied]
+
+
+def divisor_lattice(n: int, chosen, integers_on_top: bool) -> DirectedLattice:
+    """Z_d on each divisor d of n in the gcd closure of ``chosen`` and n, ordered
+    by divisibility, with the zero ring at 1; under Z when ``integers_on_top``.
+
+    The meet of two nodes is their gcd, every edge a reduction, and an
+    element inverts at the divisors it is coprime to, so two incomparable
+    ones can both hold its inverse.
+    """
+    divisors = {n, 1} | set(chosen)
+    while True:
+        more = {math.gcd(d, e) for d in divisors for e in divisors} - divisors
+        if not more:
+            break
+        divisors |= more
+    name = {d: f"d{d}" if d > 1 else "a" for d in divisors}
+    order = [(name[d], name[e]) for d in divisors for e in divisors if d != e and e % d == 0]
+    ring_at = {name[d]: rings.Mod(d) if d > 1 else rings.ZERO for d in divisors}
+    if integers_on_top:
+        order += [(name[d], "z") for d in divisors]
+        ring_at["z"] = rings.Z
+    lat = Lattice(list(ring_at), order)
+    edges = {}
+    for up, lo in lat.covers():
+        if lo != "a":
+            target = ring_at[lo].n
+            edges[(up, lo)] = rings.reduce_mod(target) if up == "z" else rings.mod_to_mod(ring_at[up].n, target)
+    return DirectedLattice(lat, ring_at, edges)
+
+
+def incomplete_table(desc, missing) -> rings.RingHom:
+    """A table on desc to itself, the identity except at the inputs in ``missing``."""
+    pairs = [(v, v) for v in rings.sample_pool(desc) if v.payload not in missing]
+    return rings.table_hom(desc, desc, pairs)
+
+
+def z4_diamond_missing_3() -> DirectedLattice:
+    """A diamond of Z4, Z4 and Z2 whose edge table t -> l misses 3; invalid."""
+    z4 = rings.Mod(4)
+    lat = Lattice(["t", "l", "r", "a"], [("a", "l"), ("a", "r"), ("l", "t"), ("r", "t")])
+    return DirectedLattice(
+        lat,
+        {"t": z4, "l": z4, "r": rings.Mod(2), "a": rings.ZERO},
+        {("t", "l"): incomplete_table(z4, (3,)), ("t", "r"): rings.mod_to_mod(4, 2)},
+    )
 
 
 def valid_finite_lattices() -> list[tuple[str, DirectedLattice]]:

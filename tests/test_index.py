@@ -89,6 +89,31 @@ def test_tables_are_built_on_first_read():
     assert "add" in vars(ix) and "mul" not in vars(ix)
 
 
+@pytest.mark.parametrize("name", ["z6", "z2_diamond", "glue_z2_z2"])
+def test_an_exhaustive_check_builds_no_element_list(name):
+    m = dict(corpus.finite_meadows())[name]
+    fresh = Meadow(m.dl, m.status)
+    for suite in axioms.SUITES:
+        axioms.check_axioms(fresh, suite, exhaustive=True)
+    ix = fresh.freeze_tables()
+    assert {"add", "mul", "inverse"} <= set(vars(ix))
+    assert fresh._elements is None
+    assert "elements" not in vars(ix) and "position" not in vars(ix)
+
+
+def test_key_and_element_number_each_node_from_its_start():
+    m = dict(corpus.finite_meadows())["chain_z4_z2"]
+    ix = Meadow(m.dl, m.status).freeze_tables()
+    starts = {}
+    for k in ix.pool:
+        x = ix.element(k)
+        starts.setdefault(x.node, k)
+        local = rings.FiniteTables(m.dl.ring_at[x.node]).index[x.value.payload]
+        assert ix.key(x) == k == starts[x.node] + local
+    assert "elements" not in vars(ix)
+    assert [ix.element(k) for k in ix.pool] == ix.elements == m.elements()
+
+
 def test_freeze_tables_needs_a_finite_carrier():
     with pytest.raises(InfiniteCarrier):
         build_meadow(corpus.chain_z_q(), mode="verify").freeze_tables()

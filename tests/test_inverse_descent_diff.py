@@ -18,7 +18,6 @@ ambiguous units.
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 import random
 import sys
@@ -29,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from meadows import rings
 from meadows.errors import AmbiguousInverse
 from meadows.latfile import lattice_from_dict
-from meadows.lattice import DirectedLattice, Lattice
+from meadows.lattice import DirectedLattice
 from meadows.meadow import build_meadow
 
 import corpus
@@ -114,35 +113,6 @@ def test_certifying_a_finite_carrier_builds_no_elements(name, dl):
 # -- hypothesis-built divisor lattices ---------------------------------------
 
 
-def divisor_lattice(n: int, chosen, integers_on_top: bool) -> DirectedLattice:
-    """Z_d on each divisor d of n in the gcd closure of ``chosen`` and n, ordered
-    by divisibility, with the zero ring at 1; under Z when ``integers_on_top``.
-
-    The meet of two nodes is their gcd, every edge a reduction, and an
-    element inverts at the divisors it is coprime to, so two incomparable
-    ones can both hold its inverse.
-    """
-    divisors = {n, 1} | set(chosen)
-    while True:
-        more = {math.gcd(d, e) for d in divisors for e in divisors} - divisors
-        if not more:
-            break
-        divisors |= more
-    name = {d: f"d{d}" if d > 1 else "a" for d in divisors}
-    order = [(name[d], name[e]) for d in divisors for e in divisors if d != e and e % d == 0]
-    ring_at = {name[d]: rings.Mod(d) if d > 1 else rings.ZERO for d in divisors}
-    if integers_on_top:
-        order += [(name[d], "z") for d in divisors]
-        ring_at["z"] = rings.Z
-    lat = Lattice(list(ring_at), order)
-    edges = {}
-    for up, lo in lat.covers():
-        if lo != "a":
-            target = ring_at[lo].n
-            edges[(up, lo)] = rings.reduce_mod(target) if up == "z" else rings.mod_to_mod(ring_at[up].n, target)
-    return DirectedLattice(lat, ring_at, edges)
-
-
 MODULI = st.sampled_from((12, 30, 36, 60, 105, 210))
 
 
@@ -151,13 +121,13 @@ MODULI = st.sampled_from((12, 30, 36, 60, 105, 210))
 def test_divisor_lattices_certify_like_the_scan(n, integers_on_top, data):
     divisors = [d for d in range(2, n) if n % d == 0]
     chosen = data.draw(st.lists(st.sampled_from(divisors), max_size=4))
-    assert_same_certification(divisor_lattice(n, chosen, integers_on_top))
+    assert_same_certification(corpus.divisor_lattice(n, chosen, integers_on_top))
 
 
 def test_divisor_lattices_can_be_ambiguous():
     # 5 is a non-unit of Z_30 that inverts in both Z_2 and Z_3
-    got = assert_same_certification(divisor_lattice(30, [2, 3], False))
+    got = assert_same_certification(corpus.divisor_lattice(30, [2, 3], False))
     assert got is not None and got[1] == {"d2", "d3"}
     # under Z no sampled integer is ambiguous, but 5 @ d30 still is
-    got = assert_same_certification(divisor_lattice(30, [2, 3], True))
+    got = assert_same_certification(corpus.divisor_lattice(30, [2, 3], True))
     assert got is not None and str(got[0]) == "5 @ d30" and got[1] == {"d2", "d3"}

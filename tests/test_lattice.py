@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meadows import rings
-from meadows.errors import NotComparable, UnknownNode
+from meadows.errors import MeadowError, NotComparable, UnknownNode
 from meadows.lattice import DirectedLattice, Lattice, dl_validate, lattice_validate
+from meadows.meadow import PreMeadow
 
 import corpus
 
@@ -471,3 +472,36 @@ def test_transition_down_a_chain_of_thousands_of_nodes():
     assert hom == reference_transition(dl, n, 1)
     assert len(hom.rule.stages) == 4  # the swaps below 2800, 2100, 1400 and 700
     assert dl.transition(n, 0).rule.stages[-1] == rings.collapse_hom(z2z2)
+
+
+def test_a_missing_meet_or_top_on_an_unvalidated_pre_meadow_is_a_meadow_error():
+    z2 = rings.Mod(2)
+    cycle = Lattice(["t", "u", "a"], [("a", "t"), ("a", "u"), ("t", "u"), ("u", "t")])
+    edges = {("t", "u"): rings.identity_hom(z2), ("u", "t"): rings.identity_hom(z2)}
+    m = PreMeadow(DirectedLattice(cycle, {"t": z2, "u": z2, "a": rings.ZERO}, edges))
+    with pytest.raises(MeadowError, match="nodes 't' and 'u' have no meet"):
+        m.add(m.element("t", 1), m.element("u", 1))
+    two_tops = Lattice(["t", "u", "a"], [("a", "t"), ("a", "u")])
+    m = PreMeadow(DirectedLattice(two_tops, {"t": z2, "u": z2, "a": rings.ZERO}))
+    with pytest.raises(MeadowError, match="lattice has no unique top"):
+        m.numeral(1)
+    with pytest.raises(ValueError):  # still a ValueError, as callers catching that expect
+        m.numeral(1)
+
+
+def test_a_transition_round_a_cycle_is_refused(monkeypatch):
+    # unvalidated: t and u lie below each other, so the cover walk from t
+    # towards a goes t, u, t, ...; it must stop at the repeat
+    z2 = rings.Mod(2)
+    cycle = Lattice(["t", "u", "a"], [("a", "t"), ("a", "u"), ("t", "u"), ("u", "t")])
+    dl = DirectedLattice(cycle, {"t": z2, "u": z2, "a": rings.ZERO}, {("t", "u"): rings.identity_hom(z2), ("u", "t"): rings.identity_hom(z2)})
+    steps = itertools.count()
+    cover_lowers = Lattice.cover_lowers
+
+    def bounded(self, n):  # a walk that never stops fails here instead of exhausting memory
+        assert next(steps) < 100, "the cover walk does not stop"
+        return cover_lowers(self, n)
+
+    monkeypatch.setattr(Lattice, "cover_lowers", bounded)
+    with pytest.raises(NotComparable, match="no path of covers runs from 't' down to 'a': it cycles at 't'"):
+        dl.transition("t", "a")

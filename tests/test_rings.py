@@ -225,7 +225,11 @@ def brute_force_tables(desc):
 
 def assert_tables_match(desc):
     t = rings.FiniteTables(desc)
-    assert (t.elements, t.index, t.add, t.mul) == brute_force_tables(desc)
+    elems, index, add, mul = brute_force_tables(desc)
+    assert (t.elements, t.index, t.add, t.mul) == (elems, index, add, mul)
+    assert t.payloads == [x.payload for x in elems] and t.payloads[0] == desc.from_int(0)
+    assert t.neg == [index[rings.neg(x).payload] for x in elems]
+    assert t.inverse == [index[rings.unit_inverse(x).payload] if rings.is_unit(x) else None for x in elems]
 
 
 TABLE_DESCRIPTORS = (

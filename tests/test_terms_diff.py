@@ -37,7 +37,6 @@ from meadows.errors import (
     TermSyntaxError,
     UnboundVariable,
 )
-from meadows.lattice import DirectedLattice, Lattice
 from meadows.latfile import load_lattice_file
 from meadows.meadow import Meadow, MeadowElement, build_meadow
 from meadows.morphisms import adjoin_error
@@ -394,23 +393,10 @@ def evaluated(evaluate, t, m, env):
 # evaluation
 
 
-def _incomplete(desc, missing):
-    """A table on desc to itself, the identity except at the inputs in ``missing``."""
-    pairs = [(v, v) for v in rings.sample_pool(desc) if v.payload not in missing]
-    return rings.table_hom(desc, desc, pairs)
-
-
 def incomplete_tables() -> list[tuple[str, Meadow]]:
     """Lattices whose edge tables miss inputs, built without validation."""
-    z_table = corpus.chain(rings.Z, _incomplete(rings.Z, (2, -2)), rings.Z)
-    z4 = rings.Mod(4)
-    lat = Lattice(["t", "l", "r", "a"], [("a", "l"), ("a", "r"), ("l", "t"), ("r", "t")])
-    diamond = DirectedLattice(
-        lat,
-        {"t": z4, "l": z4, "r": rings.Mod(2), "a": rings.ZERO},
-        {("t", "l"): _incomplete(z4, (3,)), ("t", "r"): rings.mod_to_mod(4, 2)},
-    )
-    return [("z_table_missing_2", Meadow(z_table, "lazy")), ("z4_diamond_missing_3", Meadow(diamond, "lazy"))]
+    z_table = corpus.chain(rings.Z, corpus.incomplete_table(rings.Z, (2, -2)), rings.Z)
+    return [("z_table_missing_2", Meadow(z_table, "lazy")), ("z4_diamond_missing_3", Meadow(corpus.z4_diamond_missing_3(), "lazy"))]
 
 
 def _meadows() -> list[tuple[str, Meadow]]:
