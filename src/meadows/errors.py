@@ -45,6 +45,13 @@ class NotALattice(MeadowError, ValueError):
     """An order lacks a meet, or a unique top or bottom, that was asked for."""
 
 
+class MissingEdgeHom(MeadowError, KeyError):
+    """A cover edge that a transition walks has no hom: a missing entry of
+    the edge table, so a ``KeyError`` too."""
+
+    __str__ = MeadowError.__str__  # the message, not quoted as a KeyError's key is
+
+
 class ValidationFailed(MeadowError):
     """A structure failed validation; carries the full report."""
 

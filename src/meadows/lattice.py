@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from . import rings
-from .errors import DescriptorMismatch, NotALattice, NotComparable, UnknownNode
+from .errors import DescriptorMismatch, MissingEdgeHom, NotALattice, NotComparable, UnknownNode
 from .report import CheckResult, ValidationReport
 
 
@@ -173,6 +173,7 @@ class DirectedLattice:
                 homs[(up, lo)] = rings.collapse_hom(self.ring_at[up])
         self.edge_homs = homs
         self._transitions: dict[tuple, rings.RingHom] = {}
+        self._plans: dict[tuple, tuple] = {}  # (i, j) -> _meet_plan(i, j)
         self._passed: ValidationReport | None = None  # dl_validate's passing report
 
     def transition(self, i, j) -> rings.RingHom:
@@ -181,7 +182,8 @@ class DirectedLattice:
         The path follows, from each node, its first cover lower (by
         ``node_key``) above j; a transition is the first edge composed with
         the cached transition from that cover, and every transition computed
-        on the way down is cached.  An edge whose hom does not run between
+        on the way down is cached.  A cover edge on the path with no hom
+        raises ``MissingEdgeHom``, and one whose hom does not run between
         the rings of its two nodes raises ``DescriptorMismatch``.
         """
         hom = self._transitions.get((i, j))
@@ -206,7 +208,12 @@ class DirectedLattice:
             path.append((current, nxt))
             current = nxt
         for current, nxt in reversed(path):
-            edge = self.edge_homs[(current, nxt)]
+            edge = self.edge_homs.get((current, nxt))
+            if edge is None:
+                raise MissingEdgeHom(
+                    f"the cover edge ({current!r}, {nxt!r}) has no hom "
+                    f"{self.ring_at[current]} -> {self.ring_at[nxt]}"
+                )
             if edge.source != self.ring_at[current] or edge.target != self.ring_at[nxt]:
                 # the pushes apply the edge's map to payloads of these two rings
                 raise DescriptorMismatch(
@@ -216,6 +223,18 @@ class DirectedLattice:
             hom = rings.compose_homs(edge) if nxt == j else rings.compose_homs(edge, self._transitions[(nxt, j)])
             self._transitions[(current, j)] = hom
         return hom
+
+    def _meet_plan(self, i, j) -> tuple:
+        """(k, f, g, ring): the meet k of nodes i and j, the compiled pushes
+        (``RingHom.fn``) of i and of j down to k, each None at k itself, and
+        the ring at k.  Found by ``Lattice.meet``, then ``transition(i, k)``,
+        then ``transition(j, k)``, and kept in ``_plans`` once all three
+        return, so a call that raises caches nothing and raises again."""
+        k = self.lattice.meet(i, j)
+        f = None if i == k else self.transition(i, k).fn
+        g = None if j == k else self.transition(j, k).fn
+        plan = self._plans[(i, j)] = k, f, g, self.ring_at[k]
+        return plan
 
     def is_finite(self) -> bool:
         return all(rings.is_finite(d) for d in self.ring_at.values())

@@ -60,6 +60,7 @@ class PreMeadow:
     def __init__(self, dl: DirectedLattice):
         self.dl = dl
         self.lattice = dl.lattice
+        self._plans = dl._plans
         self._nodes = frozenset(self.lattice.nodes)
         self._elements: list[MeadowElement] | None = None
         self._index: CarrierIndex | None = None
@@ -140,23 +141,18 @@ class PreMeadow:
         top = self.lattice.top
         return top, self.dl.ring_at[top].from_int(n)
 
-    def _meet(self, x, y) -> tuple:
-        """(k, p, q): the meet k of the two nodes and both payloads pushed to it."""
-        (i, p), (j, q) = x, y
-        k = self.lattice.meet(i, j)
-        if i != k:
-            p = self.dl.transition(i, k).fn(p)
-        if j != k:
-            q = self.dl.transition(j, k).fn(q)
-        return k, p, q
+    # _add and _mul push both payloads to the meet by the node pair's plan
+    # (``DirectedLattice._meet_plan``), read with one lookup once it is cached
 
     def _add(self, x, y) -> tuple:
-        k, p, q = self._meet(x, y)
-        return k, self.dl.ring_at[k].add(p, q)
+        (i, p), (j, q) = x, y
+        k, f, g, ring = self._plans.get((i, j)) or self.dl._meet_plan(i, j)
+        return k, ring.add(p if f is None else f(p), q if g is None else g(q))
 
     def _mul(self, x, y) -> tuple:
-        k, p, q = self._meet(x, y)
-        return k, self.dl.ring_at[k].mul(p, q)
+        (i, p), (j, q) = x, y
+        k, f, g, ring = self._plans.get((i, j)) or self.dl._meet_plan(i, j)
+        return k, ring.mul(p if f is None else f(p), q if g is None else g(q))
 
     def _neg(self, x) -> tuple:
         node, p = x
@@ -470,36 +466,46 @@ class Meadow(PreMeadow):
                 units[j] = q
         return units
 
-    def _unit_stops(self, x) -> list:
-        """Where a walk down the covers from the node of the pair x stops: the
-        node itself if x is a unit there, else the first node on each branch
-        at which its image is a unit.  These nodes lie among ``_units(x)``,
-        and each maximal node of ``_units(x)`` is one of them (no node above
-        it on a cover path down to it is a unit node), so both sets have
-        the same maximal nodes, on any data."""
+    def _unit_stops(self, x) -> dict:
+        """node -> image of the pair x there, for each node where a walk down
+        the covers from x's node stops: the node itself if x is a unit
+        there, else the first node on each branch at which its image is a
+        unit.  These nodes lie among ``_units(x)``, and each maximal node of
+        ``_units(x)`` is one of them (no node above it on a cover path down
+        to it is a unit node), so both sets have the same maximal nodes, on
+        any data."""
         node, p = x
         ring_at, transition, lowers = self.dl.ring_at, self.dl.transition, self.lattice.cover_lowers
         if ring_at[node].is_unit(p):
-            return [node]
-        stops, seen, todo = [], {node}, list(lowers(node))
+            return {node: p}
+        stops, seen, todo = {}, {node}, list(lowers(node))
         while todo:
             j = todo.pop()
             if j in seen:
                 continue
             seen.add(j)
-            if ring_at[j].is_unit(transition(node, j).fn(p)):
-                stops.append(j)
+            q = transition(node, j).fn(p)
+            if ring_at[j].is_unit(q):
+                stops[j] = q
             else:
                 todo += lowers(j)
         return stops
 
     def _inverse(self, x) -> tuple:
-        units = self._units(x)
-        maximal = self.lattice.maximal(units)
-        if len(maximal) != 1:
-            raise AmbiguousInverse(self._wrap(x), maximal)
-        (j,) = maximal
-        return j, self.dl.ring_at[j].inverse(units[j])
+        # The descent and the scan find the same maximal unit nodes, and the
+        # descent pushes x only down to them.  An unvalidated lattice may
+        # hold broken edges below those nodes, which a counterexample search
+        # must see: it is scanned, so the first push below x that fails raises.
+        units = self._unit_stops(x) if self.dl.validated() else self._units(x)
+        if len(units) == 1:  # a single unit node is its own maximal node
+            ((j, q),) = units.items()
+        else:
+            maximal = self.lattice.maximal(units)
+            if len(maximal) != 1:
+                raise AmbiguousInverse(self._wrap(x), maximal)
+            (j,) = maximal
+            q = units[j]
+        return j, self.dl.ring_at[j].inverse(q)
 
     def inverse_witness(self, x: MeadowElement) -> InverseWitness:
         """Nodes below x at which its image becomes a unit."""

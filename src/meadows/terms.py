@@ -283,14 +283,21 @@ def eval_term(t: Term, meadow: PreMeadow, env: dict | None = None) -> MeadowElem
                 return add(meadow._numeral(1), meadow._zero_of(base))
             if n < 0:
                 base, n = inverse(base), -n
-            return _power(mul, base, n)
+            if n == 1:
+                return base
+            # every factor lies at the base's node k: multiply in its ring, after
+            # the meet the first square asks for (k, or NotALattice on a cycle)
+            k, p = base
+            meadow.lattice.meet(k, k)
+            return k, _power(meadow.dl.ring_at[k].mul, p, n)
         raise TypeError(f"not a term: {t!r}")
 
     return meadow._wrap(walk(t))
 
 
 def _power(mul, x, n: int):
-    """x multiplied by itself to n >= 1 factors, by square-and-multiply.
+    """x multiplied by itself to n >= 1 factors, by square-and-multiply;
+    ``mul`` multiplies two elements, or two payloads of one ring.
 
     Equal to the left-to-right product because multiplication is
     associative and commutative (PM5, PM6).

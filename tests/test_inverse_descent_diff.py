@@ -1,13 +1,18 @@
-"""Inverse certification by cover descent against the down-set scan it replaced.
+"""Inverse certification and inverses by cover descent against the down-set
+scan they replaced.
 
 The reference images each probe into every node of its down-set
 (``Meadow._units``) and takes the maximal unit nodes (``Lattice.maximal``),
 as ``inverse_witness`` does; it certifies a meadow by running that over
 ``probe_pool()`` and raising ``AmbiguousInverse`` at the first probe with
-more than one maximal node.  For every probe, the descent
-(``Meadow._unit_stops``) must have the same maximal nodes, and
+more than one maximal node, and inverts a probe at its one maximal node.
+For every probe, the descent (``Meadow._unit_stops``) must have the same
+maximal nodes, and ``Meadow.inverse`` on the validated lattice, which reads
+the descent, must return the same element or raise the same
+``AmbiguousInverse``: the same element, node set and message.
 ``build_meadow`` must succeed exactly when the reference does, or raise the
-same ``AmbiguousInverse``: the same element, node set and message.
+same ``AmbiguousInverse``.  An unvalidated lattice keeps the scan, so a
+push the descent never makes still raises there.
 
 The lattices: the corpus meadows and its ambiguous lattices, the shipped
 files, the benchmark's seeded large files, and hypothesis-built divisor
@@ -26,10 +31,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meadows import rings
-from meadows.errors import AmbiguousInverse
+from meadows.errors import AmbiguousInverse, TableIncomplete
 from meadows.latfile import lattice_from_dict
 from meadows.lattice import DirectedLattice
-from meadows.meadow import build_meadow
+from meadows.meadow import Meadow, build_meadow
 
 import corpus
 
@@ -52,6 +57,16 @@ def reference_build(dl: DirectedLattice):
     return m
 
 
+def reference_inverse(m, x):
+    """x's image at the one maximal node of its scanned unit nodes, inverted there."""
+    units = m._units(m._pair(x))
+    maximal = m.lattice.maximal(units)
+    if len(maximal) != 1:
+        raise AmbiguousInverse(x, maximal)
+    (j,) = maximal
+    return m._wrap((j, m.dl.ring_at[j].inverse(units[j])))
+
+
 def outcome(build, dl):
     try:
         build(dl)
@@ -60,12 +75,22 @@ def outcome(build, dl):
     return None
 
 
+def inverted(inverse, x):
+    """The inverse of x, or the ``AmbiguousInverse``'s element, node set and message."""
+    try:
+        return inverse(x)
+    except AmbiguousInverse as exc:
+        return exc.element, exc.maximal, str(exc)
+
+
 def assert_same_certification(dl: DirectedLattice):
-    """Per-probe maximal nodes, then the build's outcome; returns the outcome."""
+    """Per-probe maximal nodes and inverses, then the build's outcome; returns the outcome."""
     m = build_meadow(fresh(dl), mode="lazy")
+    assert m.dl.validated()  # so Meadow.inverse reads the descent
     for x in m.probe_pool():
         pair = m._pair(x)
         assert m.lattice.maximal(m._unit_stops(pair)) == m.lattice.maximal(m._units(pair)), x
+        assert inverted(m.inverse, x) == inverted(lambda x: reference_inverse(m, x), x), x
     want = outcome(reference_build, fresh(dl))
     assert outcome(build_meadow, fresh(dl)) == want
     return want
@@ -131,3 +156,13 @@ def test_divisor_lattices_can_be_ambiguous():
     # under Z no sampled integer is ambiguous, but 5 @ d30 still is
     got = assert_same_certification(corpus.divisor_lattice(30, [2, 3], True))
     assert got is not None and str(got[0]) == "5 @ d30" and got[1] == {"d2", "d3"}
+
+
+def test_an_unvalidated_meadow_scans_and_raises_from_a_push_the_descent_skips():
+    # 3 is a unit of Z4, so the descent stops at t; the scan also pushes it
+    # down the edge t -> l, whose table misses 3
+    m = Meadow(corpus.z4_diamond_missing_3(), "lazy")
+    x = m.element("t", 3)
+    assert m._unit_stops(m._pair(x)) == {"t": 3}
+    with pytest.raises(TableIncomplete, match="no table entry for 3"):
+        m.inverse(x)

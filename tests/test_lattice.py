@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meadows import rings
-from meadows.errors import MeadowError, NotComparable, UnknownNode
+from meadows.errors import MeadowError, MissingEdgeHom, NotComparable, UnknownNode
 from meadows.lattice import DirectedLattice, Lattice, dl_validate, lattice_validate
-from meadows.meadow import PreMeadow
+from meadows.meadow import Meadow, PreMeadow
 
 import corpus
 
@@ -505,3 +505,20 @@ def test_a_transition_round_a_cycle_is_refused(monkeypatch):
     monkeypatch.setattr(Lattice, "cover_lowers", bounded)
     with pytest.raises(NotComparable, match="no path of covers runs from 't' down to 'a': it cycles at 't'"):
         dl.transition("t", "a")
+
+
+def test_a_cover_edge_without_a_hom_is_a_meadow_error_and_caches_no_plan():
+    # unvalidated: the diamond is given only its edge t -> r, and the walk
+    # from t to l, or from t to the bottom, takes the edge t -> l
+    z4 = rings.Mod(4)
+    lat = Lattice(["t", "l", "r", "a"], [("a", "l"), ("a", "r"), ("l", "t"), ("r", "t")])
+    dl = DirectedLattice(lat, {"t": z4, "l": z4, "r": rings.Mod(2), "a": rings.ZERO}, {("t", "r"): rings.mod_to_mod(4, 2)})
+    m = Meadow(dl, "lazy")
+    x, y = m.element("t", 1), m.element("l", 1)
+    message = r"the cover edge \('t', 'l'\) has no hom Z4 -> Z4"
+    for call in (lambda: m.add(x, y), lambda: m.inverse(x), lambda: m.add(x, y)):
+        with pytest.raises(MeadowError, match=message) as caught:
+            call()
+        assert isinstance(caught.value, MissingEdgeHom) and isinstance(caught.value, KeyError)
+    assert ("t", "l") not in dl._plans  # so the second add raised again
+    assert m.add(x, m.element("r", 1)) == m.element("r", 0)

@@ -33,11 +33,13 @@ from meadows import rings
 from meadows.errors import (
     AmbiguousInverse,
     ForeignElement,
+    NotALattice,
     TableIncomplete,
     TermSyntaxError,
     UnboundVariable,
 )
 from meadows.latfile import load_lattice_file
+from meadows.lattice import DirectedLattice, Lattice
 from meadows.meadow import Meadow, MeadowElement, build_meadow
 from meadows.morphisms import adjoin_error
 from meadows.terms import (
@@ -479,3 +481,17 @@ def test_a_foreign_binding_fails_when_read():
     for t in (Var("x"), Add(Var("x"), Var("y")), Mul(Numeral(0), Var("x"))):
         with pytest.raises(ForeignElement):
             eval_term(t, m, {"x": foreign})
+
+
+def test_powers_on_a_node_of_a_cycle_raise_as_the_first_square_does():
+    # unvalidated: t and u lie below each other, so t meets itself nowhere
+    z2 = rings.Mod(2)
+    cycle = Lattice(["t", "u", "a"], [("a", "t"), ("a", "u"), ("t", "u"), ("u", "t")])
+    edges = {("t", "u"): rings.identity_hom(z2), ("u", "t"): rings.identity_hom(z2)}
+    m = Meadow(DirectedLattice(cycle, {"t": z2, "u": z2, "a": rings.ZERO}, edges), "lazy")
+    env = {"x": m.element("t", 1)}
+    for text in ("x^2", "x^5", "x*x"):
+        for evaluate in (eval_term, reference_eval_term):
+            with pytest.raises(NotALattice, match="nodes 't' and 't' have no meet"):
+                evaluate(parse(text), m, env)
+    assert eval_term(parse("x^1"), m, env) == reference_eval_term(parse("x^1"), m, env) == env["x"]
