@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import axioms, rings
@@ -163,7 +164,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a reader that has gone is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): the rest of the output,
+        # and the flush at exit, go to devnull instead of raising
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except MeadowError as exc:
         if args.json:
             detail = {"error": type(exc).__name__, "detail": str(exc)}

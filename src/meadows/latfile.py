@@ -109,6 +109,11 @@ def _hom_from_json(spec, source: rings.RingDescriptor, target: rings.RingDescrip
                 (value_from_json(source, i), value_from_json(target, o))
                 for i, o in spec["table"]
             ]
+            image: dict = {}  # canonical input -> its first image
+            for i, o in pairs:
+                first = image.setdefault(i, o)
+                if first != o:
+                    raise ParseError(f"the table {source} -> {target} maps {i} to two images, {first} and {o}")
             return rings.table_hom(source, target, pairs)
     raise ParseError(f"unrecognized hom spec {spec!r}")
 

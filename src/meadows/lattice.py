@@ -175,16 +175,18 @@ class DirectedLattice:
         self._transitions: dict[tuple, rings.RingHom] = {}
         self._plans: dict[tuple, tuple] = {}  # (i, j) -> _meet_plan(i, j)
         self._passed: ValidationReport | None = None  # dl_validate's passing report
+        self._exact = False  # passed on exact data (``checked_exactly`` over the covers)
 
     def transition(self, i, j) -> rings.RingHom:
         """The composite hom from the ring at i down to the ring at j.
 
-        The path follows, from each node, its first cover lower (by
-        ``node_key``) above j; a transition is the first edge composed with
-        the cached transition from that cover, and every transition computed
-        on the way down is cached.  A cover edge on the path with no hom
-        raises ``MissingEdgeHom``, and one whose hom does not run between
-        the rings of its two nodes raises ``DescriptorMismatch``.
+        The path follows, from each node, its first cover lower above j
+        (``cover_lowers`` are sorted by ``node_key``); a transition is the
+        first edge composed with the cached transition from that cover, and
+        every transition computed on the way down is cached.  A cover edge
+        on the path with no hom raises ``MissingEdgeHom``, and one whose hom
+        does not run between the rings of its two nodes raises
+        ``DescriptorMismatch``.
         """
         hom = self._transitions.get((i, j))
         if hom is not None:
@@ -198,10 +200,9 @@ class DirectedLattice:
         path = []  # (node, next) steps down to j, or to the first node with a cached transition
         current, seen = i, {i}
         while current != j and (current, j) not in self._transitions:
-            lowers = [lo for lo in self.lattice.cover_lowers(current) if self.lattice.leq(j, lo)]
-            if not lowers:  # an order with a cycle: no cover lower of a node off it lies on it
+            nxt = next((lo for lo in self.lattice.cover_lowers(current) if self.lattice.leq(j, lo)), None)
+            if nxt is None:  # an order with a cycle: no cover lower of a node off it lies on it
                 raise NotComparable(f"no path of covers runs from {i!r} down to {j!r}: it stops at {current!r}")
-            nxt = min(lowers, key=node_key)
             if nxt in seen:  # an order with a cycle: the walk came back round it
                 raise NotComparable(f"no path of covers runs from {i!r} down to {j!r}: it cycles at {nxt!r}")
             seen.add(nxt)
@@ -258,9 +259,10 @@ def dl_validate(dl: DirectedLattice) -> ValidationReport:
     failing report lists each triple with its own witness.  Sampled data
     are checked on every triple, since the induction needs every input.
 
-    A passing report is kept on ``dl``: a directed lattice is not changed
-    after construction (its transitions are cached on the same terms), so
-    validating it again returns that report.
+    A passing report is kept on ``dl``, with whether its data were exact:
+    a directed lattice is not changed after construction (its transitions
+    are cached on the same terms), so validating it again returns that
+    report.
     """
     if dl._passed is not None:
         return dl._passed
@@ -306,7 +308,7 @@ def dl_validate(dl: DirectedLattice) -> ValidationReport:
         checks = _path_checks(dl, exact, covers_only=False)
     report.checks += checks
     if report.ok:
-        dl._passed = report
+        dl._passed, dl._exact = report, exact
     return report
 
 

@@ -473,22 +473,31 @@ class Meadow(PreMeadow):
         unit.  These nodes lie among ``_units(x)``, and each maximal node of
         ``_units(x)`` is one of them (no node above it on a cover path down
         to it is a unit node), so both sets have the same maximal nodes, on
-        any data."""
+        any data.
+
+        A lattice validated on exact data is path independent, so the image
+        at a node j reached from c is the one at c pushed along the cover
+        edge (c, j): one edge push per node visited.  On sampled data the
+        image is x's own ``transition`` to j, since a sample proves no path
+        independence."""
         node, p = x
-        ring_at, transition, lowers = self.dl.ring_at, self.dl.transition, self.lattice.cover_lowers
+        dl = self.dl
+        ring_at = dl.ring_at
         if ring_at[node].is_unit(p):
             return {node: p}
-        stops, seen, todo = {}, {node}, list(lowers(node))
+        lowers, edges, exact = self.lattice.cover_lowers, dl.edge_homs, dl._exact
+        stops, seen = {}, {node}
+        todo = [(node, j, p) for j in lowers(node)]  # (c, j, image at c): j a cover lower of c
         while todo:
-            j = todo.pop()
+            c, j, q = todo.pop()
             if j in seen:
                 continue
             seen.add(j)
-            q = transition(node, j).fn(p)
+            q = edges[c, j].fn(q) if exact else dl.transition(node, j).fn(p)
             if ring_at[j].is_unit(q):
                 stops[j] = q
             else:
-                todo += lowers(j)
+                todo += [(j, k, q) for k in lowers(j)]
         return stops
 
     def _inverse(self, x) -> tuple:

@@ -328,7 +328,10 @@ class Product(RingDescriptor):
         items = tuple(raw)
         if len(items) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} coordinates, got {len(items)}")
-        return tuple(ring_value(f, it).payload for f, it in zip(self.factors, items))
+        return tuple(
+            ring_value(f, it).payload if isinstance(it, RingValue) else _canon_payload(f, it)
+            for f, it in zip(self.factors, items)
+        )
 
     def to_raw(self, a):
         return [f.to_raw(x) for f, x in zip(self.factors, a)]
@@ -1004,10 +1007,13 @@ def pair_hom(components) -> RingHom:
 
 
 def table_hom(source: RingDescriptor, target: RingDescriptor, pairs) -> RingHom:
+    # sorted by each input's repr: every input lies in source, so that repr
+    # is this prefix, then the payload's repr and ")"
+    head = f"RingValue(ring={source!r}, payload="
     graph = tuple(
         sorted(
             ((ring_value(source, i), ring_value(target, o)) for i, o in pairs),
-            key=lambda p: repr(p[0]),
+            key=lambda p: f"{head}{p[0].payload!r})",
         )
     )
     return RingHom(source, target, TableRule(graph))
@@ -1141,6 +1147,10 @@ def _validate_on_index(h: RingHom, src: FiniteTables, dst: FiniteTables | None) 
     raises ``_OffTarget``), else target values combined with ``add``/``mul``.
     Each image is computed on first use, in the order the element-by-element
     check asks for them, so a missing table entry fails at the same pair.
+    Once zero is preserved into ``dst``, row 0 of + (0 + x = x) asks for
+    every image in index order, so they are all computed then, and each row
+    of a table is compared whole; only a row that differs is walked pair by
+    pair, for its first witness.
     """
     elems = src.elements
     if dst is None:
@@ -1169,6 +1179,8 @@ def _validate_on_index(h: RingHom, src: FiniteTables, dst: FiniteTables | None) 
         for i, row in enumerate(src_table):
             a = image(i)
             out = dst_table[a].__getitem__ if dst_table is not None else functools.partial(op, a)
+            if rows and list(map(img.__getitem__, row)) == list(map(out, img)):
+                continue
             for j, s in enumerate(row):
                 if image(s) != out(image(j)):
                     return elems[i], elems[j]
@@ -1179,8 +1191,12 @@ def _validate_on_index(h: RingHom, src: FiniteTables, dst: FiniteTables | None) 
     try:
         ok = image(0) == zero_t
         report.add("preserves_zero", ok, None if ok else (zero,), checked=1)
+        rows = ok and dst is not None
         ok = image(src.index[one.payload]) == one_t
         report.add("preserves_one", ok, None if ok else (one,), checked=1)
+        if rows:  # in the order row 0 of + asks for them
+            for i in range(len(elems)):
+                image(i)
         for name, table, op in (("additive", "add", add), ("multiplicative", "mul", mul)):
             bad = first_bad(getattr(src, table), dst and getattr(dst, table), op)
             report.add(name, bad is None, bad, checked=len(elems) ** 2)

@@ -352,6 +352,46 @@ def test_unknown_node_in_order_is_not_rewrapped():
         lattice_from_dict(data)
 
 
+def _z4_to_z2_table(entries):
+    return _lattice({"mod": 4}, {"mod": 2}, {"from": "t", "to": "m", "map": {"table": entries}})
+
+
+@pytest.mark.parametrize("last", [[3, 0], [7, 0]])
+def test_a_table_giving_one_input_two_images_is_a_parse_error(last, tmp_path, capsys):
+    # 7 is 3 in Z4, so both tables give 3 the images 1 and 0
+    data = _z4_to_z2_table([[0, 0], [1, 1], [2, 0], [3, 1], last])
+    with pytest.raises(ParseError, match="^the table Z4 -> Z2 maps 3 to two images, 1 and 0$"):
+        lattice_from_dict(data)
+    path = tmp_path / "conflict.json"
+    path.write_text(json.dumps(data))
+    assert main(["--json", "eval", str(path), "1 + 1"]) == 1
+    error = _single_json_error(capsys)
+    assert error == {"error": "ParseError", "detail": "the table Z4 -> Z2 maps 3 to two images, 1 and 0"}
+
+
+def test_a_table_repeating_an_entry_loads_with_the_entry_kept_twice():
+    dl = lattice_from_dict(_z4_to_z2_table([[0, 0], [1, 1], [2, 0], [3, 1], [7, 1]]))
+    graph = dl.edge_homs[("t", "m")].rule.graph
+    assert [(i.payload, o.payload) for i, o in graph] == [(0, 0), (1, 1), (2, 0), (3, 1), (3, 1)]
+    build_meadow(dl)
+
+
+def test_cli_table_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    # the reader is gone before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "meadows", "table", "lattices/example_4_14.json", "--op", "add"],
+            cwd=ROOT, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 # 5,000 digits is past Python's int/str conversion limit, so ``json`` itself
 # raises ValueError on the file before any meadow code reads it
 HUGE = "7" * 5000

@@ -152,6 +152,18 @@ MUTATED = {
     "some_images_outside_the_target": rings.RingHom(
         Z3, Z3, rings.TableRule(((v(Z3, 0), v(Z3, 0)), (v(Z3, 1), v(Z3, 1)), (v(Z3, 2), v(Z6, 2))))
     ),
+    # the row-by-row comparison of a target no larger than the source:
+    # 3 * 3 = 1 -> 1, but 3 -> 2 and 2 * 2 = 0, the one failing product
+    "first_failure_in_the_last_row": table(Z4, Z4, [(0, 0), (1, 1), (2, 0), (3, 2)]),
+    # 0 -> 1 fails every check in row 0, before the missing 3 is imaged
+    "zero_not_preserved_and_an_entry_missing": table(Z4, Z2, [(0, 1), (1, 0), (2, 1)]),
+    "an_entry_missing_in_the_middle": table(Z6, Z2, [(k, k % 2) for k in range(6) if k != 3]),
+    "an_image_in_another_ring_past_the_middle": rings.RingHom(
+        Z6, Z3, rings.TableRule(tuple((v(Z6, k), v(Z6, k) if k == 4 else v(Z3, k % 3)) for k in range(6)))
+    ),
+    # the payload 3 of Z4 is not an element of Z3: the indexed check gives
+    # up on it and the images are compared as values
+    "payloads_off_a_smaller_target": rings.RingHom(rings.Product((Z2, Z4)), Z3, rings.Project(1)),
 }
 
 

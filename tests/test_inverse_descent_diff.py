@@ -33,8 +33,8 @@ from hypothesis import given, settings, strategies as st
 from meadows import rings
 from meadows.errors import AmbiguousInverse, TableIncomplete
 from meadows.latfile import lattice_from_dict
-from meadows.lattice import DirectedLattice
-from meadows.meadow import Meadow, build_meadow
+from meadows.lattice import DirectedLattice, Lattice
+from meadows.meadow import Meadow, _verify_inverses, build_meadow
 
 import corpus
 
@@ -166,3 +166,65 @@ def test_an_unvalidated_meadow_scans_and_raises_from_a_push_the_descent_skips():
     assert m._unit_stops(m._pair(x)) == {"t": 3}
     with pytest.raises(TableIncomplete, match="no table entry for 3"):
         m.inverse(x)
+
+
+# -- cover steps on exact data ------------------------------------------------
+
+
+def reference_unit_stops(m, x):
+    """The descent with each image read off x's own transition to the node."""
+    node, p = x
+    ring_at, transition, lowers = m.dl.ring_at, m.dl.transition, m.lattice.cover_lowers
+    if ring_at[node].is_unit(p):
+        return {node: p}
+    stops, seen, todo = {}, {node}, list(lowers(node))
+    while todo:
+        j = todo.pop()
+        if j in seen:
+            continue
+        seen.add(j)
+        q = transition(node, j).fn(p)
+        if ring_at[j].is_unit(q):
+            stops[j] = q
+        else:
+            todo += lowers(j)
+    return stops
+
+
+def validated(dl: DirectedLattice) -> Meadow:
+    m = build_meadow(fresh(dl), mode="lazy")
+    assert m.dl.validated()
+    return m
+
+
+@pytest.mark.parametrize("name, dl", LATTICES, ids=[name for name, _ in LATTICES])
+def test_cover_steps_stop_where_the_transitions_do(name, dl):
+    m = validated(dl)
+    assert m.dl._exact  # every lattice here, the ambiguous and infinite ones too
+    for x in m.probe_pool():
+        pair = m._pair(x)
+        assert m._unit_stops(pair) == reference_unit_stops(m, pair), x
+
+
+def test_sampled_data_descend_by_transitions():
+    # no rule proves the unit map a hom out of Q, so its check is sampled
+    lat = Lattice(["t", "m", "a"], [("a", "m"), ("m", "t")])
+    unit_map = rings.RingHom(rings.Q, rings.Q, rings.UnitMap())
+    dl = DirectedLattice(lat, {"t": rings.Q, "m": rings.Q, "a": rings.ZERO}, {("t", "m"): unit_map})
+    m = validated(dl)
+    assert not m.dl._exact
+    asked = []
+    transition = m.dl.transition
+    m.dl.transition = lambda i, j: asked.append((i, j)) or transition(i, j)
+    zero = m._pair(m.element("t", 0))
+    stops = m._unit_stops(zero)
+    assert asked == [("t", "m"), ("t", "a")]
+    assert stops == reference_unit_stops(m, zero) == {"a": rings.TOK}
+
+
+def test_certifying_a_chain_of_40_residue_rings_composes_no_transition():
+    m = build_meadow(lattice_from_dict(gen.long_chain(40, 2)), mode="lazy")
+    assert m.dl._exact
+    before = len(m.dl._transitions)
+    _verify_inverses(m)  # 0 at each node descends to the bottom
+    assert len(m.dl._transitions) == before

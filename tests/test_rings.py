@@ -82,6 +82,17 @@ def test_inexact_payloads_are_refused():
     assert rings.ring_value(rings.Q, "0.1").payload == Fraction(1, 10)
 
 
+def test_product_coordinates_are_refused_and_coerced_like_values():
+    zq = rings.Product((Z3, rings.Q))
+    for bad in ((1, 0.5), (True, 1), (1, False)):
+        with pytest.raises(ValueError, match="^inexact payload"):
+            rings.ring_value(zq, bad)
+    with pytest.raises(DescriptorMismatch):
+        rings.ring_value(zq, (v(Z2, 1), 1))
+    assert rings.ring_value(zq, (v(Z3, 2), "-1/2")).payload == (2, Fraction(-1, 2))
+    assert rings.ring_value(zq, (5, v(rings.Q, 3))).payload == (2, Fraction(3))
+
+
 def test_projection_injective_iff_single_factor():
     assert rings.hom_injective(rings.project(rings.Product((rings.Z,)), 0)) == (True, None)
     assert rings.hom_injective(rings.project(rings.Product((rings.Z, rings.Q)), 1)) == (False, None)
@@ -538,6 +549,18 @@ def test_table_duplicate_inputs_first_sorted_entry_wins():
     assert rings.hom_apply(h, v(Z3, 1)) == v(Z3, 2) == scan_apply(h, v(Z3, 1))
     unsorted = rings.RingHom(Z2, Z2, rings.TableRule(((v(Z2, 1), v(Z2, 0)), (v(Z2, 1), v(Z2, 1)))))
     assert rings.hom_apply(unsorted, v(Z2, 1)) == v(Z2, 0)
+
+
+@settings(deadline=None)
+@given(_small_descriptors(), st.integers(0, 2**32))
+def test_table_hom_sorts_its_graph_by_the_repr_of_each_input(desc, seed):
+    rng = random.Random(seed)
+    payloads = [desc.random(rng) for _ in range(6)]
+    payloads += [desc.neg(p) for p in payloads] + [desc.from_int(-1)]  # negative fractions, for Q
+    raw = [desc.to_raw(p) for p in payloads]
+    pairs = list(zip(raw, reversed(raw))) + [(v(desc, raw[0]), raw[1])]  # repeated inputs, and a value
+    want = sorted(((v(desc, i), v(desc, o)) for i, o in pairs), key=lambda p: repr(p[0]))
+    assert rings.table_hom(desc, desc, pairs).rule.graph == tuple(want)
 
 
 def test_table_missing_entry_message():
