@@ -18,7 +18,7 @@ import itertools
 from . import rings
 from .errors import InfiniteCarrier
 from .meadow import PreMeadow
-from .morphisms import FiniteSubset, MeadowIdeal, WholeRing
+from .morphisms import MeadowIdeal, PayloadSet, WholeRing, ZeroIdeal
 
 
 def _search_maps(n_src, n_dst, add_src, mul_src, add_dst, mul_dst, seeds):
@@ -164,13 +164,10 @@ def _proper_ideal_indices(m: PreMeadow, ideals: dict) -> list[tuple]:
 
 
 def _meadow_ideals(m: PreMeadow, ideals: dict, found: list[tuple]) -> list[MeadowIdeal]:
-    """One ``MeadowIdeal`` per index tuple: ``FiniteSubset``s, the bottom ``WholeRing``."""
-    nodes, bottom = m.lattice.nodes, m.lattice.bottom
+    """One ``MeadowIdeal`` per index tuple; index 0 is the whole ring, a one-element ideal the zero."""
+    nodes = m.lattice.nodes
     specs = {
-        n: [WholeRing()] if n == bottom else [
-            FiniteSubset(frozenset(rings.RingValue(m.dl.ring_at[n], p) for p in ideal))
-            for ideal in ideals[n]
-        ]
+        n: [WholeRing()] + [ZeroIdeal() if len(i) == 1 else PayloadSet(dict.fromkeys(i)) for i in ideals[n][1:]]
         for n in nodes
     }
     return [MeadowIdeal(m, {n: specs[n][i] for n, i in zip(nodes, combo)}) for combo in found]
@@ -185,13 +182,6 @@ def enumerate_meadow_ideals(m: PreMeadow) -> list[MeadowIdeal]:
     """
     ideals = _node_ideals(m)
     return _meadow_ideals(m, ideals, _proper_ideal_indices(m, ideals))
-
-
-def ideal_leq(i1: MeadowIdeal, i2: MeadowIdeal) -> bool:
-    """Containment of finite ideals, node by node."""
-    return all(
-        i1.members_by_node(n) <= i2.members_by_node(n) for n in i1.meadow.lattice.nodes
-    )
 
 
 def maximal_ideals(m: PreMeadow) -> list[MeadowIdeal]:

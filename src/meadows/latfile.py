@@ -14,7 +14,7 @@ map:  "identity" | "include_q" | {"reduce_mod": n} | "unit_map"
 Exactly one node carries "zero" and it must be the unique minimum of
 "order".  Homs into the zero node may be omitted (the collapse map is
 unique and synthesized).  Ideal file:
-{ "<node>": "zero" | "whole" | {"nZ": n} | {"subset": [<value>, ...]} }.
+{ "<node>": "zero" | "whole" | {"nZ": n >= 1} | {"subset": [<value>, ...]} }.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 
 from . import rings
-from .errors import ParseError
+from .errors import ParseError, UnknownNode
 from .lattice import DirectedLattice, Lattice, dl_validate, node_key
 from .meadow import PreMeadow
 from .morphisms import FiniteSubset, MeadowIdeal, NZ, WholeRing, ZeroIdeal
@@ -197,7 +197,7 @@ def lattice_to_dict(dl: DirectedLattice) -> dict:
 
 
 def ideal_from_dict(data: dict, meadow: PreMeadow) -> MeadowIdeal:
-    """Missing nodes default to the zero ideal; the bottom is always whole."""
+    """Missing nodes default to the zero ideal, the bottom is always whole, and an unknown node raises."""
     L = meadow.lattice
     ideal_at = {}
     try:
@@ -218,6 +218,9 @@ def ideal_from_dict(data: dict, meadow: PreMeadow) -> MeadowIdeal:
                 )
             else:
                 raise ParseError(f"unrecognized ideal spec {spec!r} at node {node!r}")
+        unknown = sorted(set(data) - {node_key(node) for node in L.nodes})
+        if unknown:
+            raise UnknownNode(f"the ideal file names nodes the lattice lacks: {', '.join(map(repr, unknown))}")
         return MeadowIdeal(meadow, ideal_at)
     except _MALFORMED as exc:
         raise ParseError(f"malformed ideal file: {type(exc).__name__}: {exc}") from exc

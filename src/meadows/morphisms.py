@@ -1,8 +1,8 @@
 """Structure-preserving maps, ideals, quotients and the functor pair.
 
 A meadow hom is stored as a lattice map plus one ring hom per node; the
-elementwise map follows.  Ideals are descriptor-based per node so that
-infinite components (like nZ inside Z) stay representable.  Quotients map
+elementwise map follows.  Ideals hold one spec per node, with its own behaviour,
+so that infinite components (like nZ inside Z) stay representable.  Quotients map
 component rings back into the closed descriptor family and return a
 tagged result: a certified meadow when unique invertibility verifies, or
 the bare pre-meadow otherwise.
@@ -11,12 +11,14 @@ the bare pre-meadow otherwise.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import rings
 from .errors import (
     AmbiguousInverse,
     CharacteristicMismatch,
+    DescriptorMismatch,
     ForeignElement,
     IdealIsWhole,
     IdealNotKilled,
@@ -221,25 +223,54 @@ def kernel(f: MeadowHom, kind="R") -> frozenset:
 
 
 class IdealSpec:
+    """One node's ring ideal, with its behaviour against the node's ring ``desc``.
+
+    ``bind`` gives the form ``MeadowIdeal`` holds, ``misfit`` (witness, note)
+    when the spec cannot be an ideal of ``desc``.  Bound, it answers on raw
+    payloads: ``contains``, ``probes`` (all members when ``desc`` is finite),
+    ``members``, ``closure`` (check, witness or None) and ``projection``.
+    """
+
     __slots__ = ()
+
+    whole = False
+
+    def bind(self, desc: rings.RingDescriptor) -> IdealSpec:
+        return self
+
+    def misfit(self, desc: rings.RingDescriptor):
+        return None
+
+    def closure(self, desc: rings.RingDescriptor) -> list:
+        return []
 
 
 @dataclass(frozen=True)
 class ZeroIdeal(IdealSpec):
-    pass
+    def contains(self, desc, p) -> bool:
+        return p == desc.from_int(0)
+
+    def probes(self, desc) -> list:
+        return [desc.from_int(0)]
+
+    members = probes
+
+    def projection(self, desc) -> rings.RingHom:
+        return rings.identity_hom(desc)
 
 
 @dataclass(frozen=True)
 class WholeRing(IdealSpec):
-    pass
+    whole = True
 
+    def contains(self, desc, p) -> bool:
+        return True
 
-@dataclass(frozen=True)
-class FiniteSubset(IdealSpec):
-    values: frozenset
+    def probes(self, desc) -> list:
+        return rings._pool(desc)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", frozenset(self.values))
+    def members(self, desc) -> list:
+        return rings._listed(desc)
 
 
 @dataclass(frozen=True)
@@ -247,71 +278,128 @@ class NZ(IdealSpec):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("nZ needs n >= 1")
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"nZ needs an integer n >= 1, not {self.n!r}")
+
+    def bind(self, desc):
+        return WholeRing() if self.n == 1 else self
+
+    def misfit(self, desc):
+        return None if isinstance(desc, rings.Integers) else ((self,), "nZ only applies to Z")
+
+    def contains(self, desc, p) -> bool:
+        return p % self.n == 0
+
+    def probes(self, desc) -> list:
+        return [desc.from_int(k * self.n) for k in range(-3, 4)]
+
+    def members(self, desc):
+        raise InfiniteCarrier("nZ has no finite member set")
+
+    def projection(self, desc) -> rings.RingHom:
+        return rings.reduce_mod(self.n)
 
 
-def _normalized(spec: IdealSpec, desc: rings.RingDescriptor) -> IdealSpec:
-    if isinstance(spec, NZ) and spec.n == 1:
-        return WholeRing()
-    if isinstance(spec, FiniteSubset):
-        # equal sets have equal sizes: most subsets are told apart without listing the ring
-        values = spec.values
-        if rings.is_finite(desc) and len(values) == desc.size() and values == set(rings.enumerate_ring(desc)):
+@dataclass(frozen=True)
+class FiniteSubset(IdealSpec):
+    """An explicit subset, as ``RingValue``s.  Bound, it is the ring's
+    ``ZeroIdeal`` or ``WholeRing``, a ``PayloadSet``, or, if it does not fit, itself."""
+
+    values: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", frozenset(self.values))
+
+    def bind(self, desc):
+        fault = self.misfit(desc)
+        # the values are canonical and fit desc: as many as desc has are all of it
+        if fault is None and len(self.values) == desc.size():
             return WholeRing()
-        if len(values) == 1 and values == {rings.zero_value(desc)}:
+        if self.values == {rings.zero_value(desc)}:
             return ZeroIdeal()
-    return spec
+        return self if fault else PayloadSet(dict.fromkeys(v.payload for v in self.values))
+
+    def misfit(self, desc):
+        if not rings.is_finite(desc):
+            return (self,), "explicit subsets need a finite ring"
+        bad = next((v for v in self.values if v.ring != desc), None)
+        return None if bad is None else ((bad,), "value outside the component")
+
+    def _unfit(self, desc, *args):
+        raise DescriptorMismatch(f"{self} does not fit {desc}")
+
+    contains = probes = members = projection = _unfit
+
+
+@dataclass(frozen=True)
+class PayloadSet(IdealSpec):
+    """Raw payloads of a finite ring, as the keys of a dict: a set that keeps
+    the order it was built in, the order the closure checks scan."""
+
+    payloads: dict
+
+    def contains(self, desc, p) -> bool:
+        return p in self.payloads
+
+    def probes(self, desc) -> list:
+        return sorted(self.payloads, key=repr)
+
+    def members(self, desc) -> dict:
+        return self.payloads
+
+    def closure(self, desc):
+        S, elements = self.payloads, rings._listed(desc)
+
+        def witness(*payloads):
+            return tuple(rings.RingValue(desc, x) for x in payloads)
+
+        return [
+            ("closed_under_neg", next((witness(p) for p in S if desc.neg(p) not in S), None)),
+            ("closed_under_add", next((witness(p, q) for p in S for q in S if desc.add(p, q) not in S), None)),
+            ("absorbs_multiplication", next((witness(p, r) for p in S for r in elements if desc.mul(p, r) not in S), None)),
+        ]
+
+    def projection(self, desc) -> rings.RingHom:
+        if isinstance(desc, rings.Mod):
+            d = math.gcd(desc.n, *self.payloads)
+            return rings.identity_hom(desc) if d == desc.n else rings.mod_to_mod(desc.n, d)
+        # an ideal of a product is the product of its coordinate ideals
+        parts = []
+        for k, factor in enumerate(desc.factors):
+            coord = PayloadSet(dict.fromkeys(p[k] for p in self.payloads))
+            if len(coord.payloads) < factor.size():  # a whole factor collapses out of the product
+                parts.append(rings.compose_homs(rings.project(desc, k), coord.projection(factor)))
+        if not parts:
+            raise IdealIsWhole("component ideal is the whole ring")
+        return parts[0] if len(parts) == 1 else rings.pair_hom(parts)
 
 
 @dataclass
 class MeadowIdeal:
+    """One ``IdealSpec`` per node, bound to its ring; a node left out holds the zero ideal."""
+
     meadow: PreMeadow
     ideal_at: dict
 
     def __post_init__(self):
         self._specs = {
-            node: _normalized(self.ideal_at.get(node, ZeroIdeal()), desc)
+            node: self.ideal_at.get(node, ZeroIdeal()).bind(desc)
             for node, desc in self.meadow.dl.ring_at.items()
         }
 
     def spec_at(self, node) -> IdealSpec:
-        """Normalized spec: degenerate subsets fold into Zero or Whole."""
+        """The bound spec: degenerate subsets fold into Zero or Whole."""
         return self._specs[node]
-
-    def contains(self, node, v: rings.RingValue) -> bool:
-        spec = self.spec_at(node)
-        if isinstance(spec, WholeRing):
-            return True
-        if isinstance(spec, ZeroIdeal):
-            return v == rings.zero_value(self.meadow.dl.ring_at[node])
-        if isinstance(spec, FiniteSubset):
-            return v in spec.values
-        return v.payload % spec.n == 0
 
     def probe_members(self, node) -> list[rings.RingValue]:
         """Finite witness set; full membership for finite components."""
-        spec = self.spec_at(node)
         desc = self.meadow.dl.ring_at[node]
-        if isinstance(spec, ZeroIdeal):
-            return [rings.zero_value(desc)]
-        if isinstance(spec, FiniteSubset):
-            return sorted(spec.values, key=repr)
-        if isinstance(spec, NZ):
-            return [rings.from_int(desc, k * spec.n) for k in range(-3, 4)]
-        return rings.sample_pool(desc)
+        return [rings.RingValue(desc, p) for p in self._specs[node].probes(desc)]
 
     def members_by_node(self, node) -> frozenset:
         """Exact member set; finite components only."""
-        spec = self.spec_at(node)
         desc = self.meadow.dl.ring_at[node]
-        if isinstance(spec, ZeroIdeal):
-            return frozenset([rings.zero_value(desc)])
-        if isinstance(spec, FiniteSubset):
-            return spec.values
-        if isinstance(spec, WholeRing):
-            return frozenset(rings.enumerate_ring(desc))
-        raise InfiniteCarrier("nZ has no finite member set")
+        return frozenset(rings.RingValue(desc, p) for p in self._specs[node].members(desc))
 
 
 def ideal_validate(ideal: MeadowIdeal) -> ValidationReport:
@@ -321,58 +409,35 @@ def ideal_validate(ideal: MeadowIdeal) -> ValidationReport:
     report = ValidationReport(subject="meadow ideal")
 
     bottom = L.bottom
-    report.add("bottom_is_whole", isinstance(ideal.spec_at(bottom), WholeRing), (bottom,))
+    report.add("bottom_is_whole", ideal.spec_at(bottom).whole, (bottom,))
 
     for node in L.nodes:
         spec = ideal.spec_at(node)
         desc = m.dl.ring_at[node]
-        if isinstance(spec, NZ) and not isinstance(desc, rings.Integers):
-            report.add(f"kind_fits({node})", False, (spec,), note="nZ only applies to Z")
+        fault = spec.misfit(desc)
+        if fault is not None:
+            report.add(f"kind_fits({node})", False, fault[0], note=fault[1])
             continue
-        if isinstance(spec, FiniteSubset):
-            if not rings.is_finite(desc):
-                report.add(f"kind_fits({node})", False, (spec,), note="explicit subsets need a finite ring")
-                continue
-            bad = next((v for v in spec.values if v.ring != desc), None)
-            if bad is not None:
-                report.add(f"kind_fits({node})", False, (bad,), note="value outside the component")
-                continue
         report.add(f"kind_fits({node})", True)
 
-        zero = rings.zero_value(desc)
-        if not ideal.contains(node, zero):
-            report.add(f"contains_zero({node})", False, (zero,))
+        zero = desc.from_int(0)
+        if not spec.contains(desc, zero):
+            report.add(f"contains_zero({node})", False, (rings.RingValue(desc, zero),))
             continue
         report.add(f"contains_zero({node})", True)
 
-        if isinstance(spec, FiniteSubset):
-            S = spec.values
-            bad = next((v for v in S if rings.neg(v) not in S), None)
-            report.add(f"closed_under_neg({node})", bad is None, None if bad is None else (bad,))
-            bad = next(
-                ((v, w) for v in S for w in S if rings.add(v, w) not in S), None
-            )
-            report.add(f"closed_under_add({node})", bad is None, bad)
-            bad = next(
-                (
-                    (v, r)
-                    for v in S
-                    for r in rings.enumerate_ring(desc)
-                    if rings.mul(v, r) not in S
-                ),
-                None,
-            )
-            report.add(f"absorbs_multiplication({node})", bad is None, bad)
+        for check, bad in spec.closure(desc):
+            report.add(f"{check}({node})", bad is None, bad)
 
     if not report.ok:
         return report
 
     # a collapsed component forces everything below it to collapse
     for up in L.nodes:
-        if not isinstance(ideal.spec_at(up), WholeRing):
+        if not ideal.spec_at(up).whole:
             continue
         for lo in L.nodes:
-            if lo != up and L.leq(lo, up) and not isinstance(ideal.spec_at(lo), WholeRing):
+            if lo != up and L.leq(lo, up) and not ideal.spec_at(lo).whole:
                 report.add("whole_propagates_down", False, (up, lo))
     if report.ok:
         report.add("whole_propagates_down", True)
@@ -380,14 +445,15 @@ def ideal_validate(ideal: MeadowIdeal) -> ValidationReport:
     for up in L.nodes:
         if up == bottom:  # nothing lies below it
             continue
-        probes = ideal.probe_members(up)
-        sampled = not rings.is_finite(m.dl.ring_at[up])
+        desc = m.dl.ring_at[up]
+        probes = ideal.spec_at(up).probes(desc)
+        sampled = not rings.is_finite(desc)
         for lo in L.nodes:
             if lo == up or not L.leq(lo, up):
                 continue
-            t = m.dl.transition(up, lo)
+            down, below, lo_desc = m.dl.transition(up, lo).fn, ideal.spec_at(lo), m.dl.ring_at[lo]
             bad = next(
-                (v for v in probes if not ideal.contains(lo, rings.hom_apply(t, v))),
+                (rings.RingValue(desc, p) for p in probes if not below.contains(lo_desc, down(p))),
                 None,
             )
             report.add(
@@ -411,42 +477,6 @@ def radical(m: PreMeadow) -> MeadowIdeal:
 
 # ---------------------------------------------------------------------------
 # quotients
-
-
-def _component_quotient(desc: rings.RingDescriptor, spec: IdealSpec):
-    """(quotient descriptor, projection hom) for a non-whole component ideal."""
-    import math
-
-    if isinstance(spec, ZeroIdeal):
-        return desc, rings.identity_hom(desc)
-    if isinstance(spec, NZ):
-        return rings.Mod(spec.n), rings.reduce_mod(spec.n)
-    if isinstance(spec, FiniteSubset):
-        if isinstance(desc, rings.Mod):
-            d = desc.n
-            for v in spec.values:
-                d = math.gcd(d, v.payload)
-            if d == desc.n:
-                return desc, rings.identity_hom(desc)
-            return rings.Mod(d), rings.mod_to_mod(desc.n, d)
-        if isinstance(desc, rings.Product):
-            kept = []
-            for k, factor in enumerate(desc.factors):
-                coord = frozenset(rings.RingValue(factor, v.payload[k]) for v in spec.values)
-                # a whole factor collapses out of the product
-                if coord == set(rings.enumerate_ring(factor)):
-                    continue
-                qdesc, proj = _component_quotient(factor, FiniteSubset(coord))
-                kept.append((k, qdesc, proj))
-            if not kept:
-                raise IdealIsWhole("component ideal is the whole ring")
-            parts = [
-                rings.compose_homs(rings.project(desc, k), proj) for k, _q, proj in kept
-            ]
-            if len(parts) == 1:
-                return kept[0][1], parts[0]
-            return rings.Product(tuple(q for _k, q, _p in kept)), rings.pair_hom(parts)
-    raise ValueError(f"cannot form quotient of {desc} by {spec}")
 
 
 def _factor_through(proj: rings.RingHom, g: rings.RingHom) -> rings.RingHom:
@@ -497,12 +527,10 @@ def quotient(m: PreMeadow, ideal: MeadowIdeal) -> QuotientResult:
     """
     ideal_validate(ideal).raise_if_failed()
     L = m.lattice
-    if isinstance(ideal.spec_at(L.top), WholeRing):
+    if ideal.spec_at(L.top).whole:
         raise IdealIsWhole("quotient by the whole structure is undefined")
 
-    collapsed = frozenset(
-        n for n in L.nodes if isinstance(ideal.spec_at(n), WholeRing)
-    )
+    collapsed = frozenset(n for n in L.nodes if ideal.spec_at(n).whole)
     kept = [n for n in L.nodes if n not in collapsed]
     bottom = L.bottom
 
@@ -511,12 +539,8 @@ def quotient(m: PreMeadow, ideal: MeadowIdeal) -> QuotientResult:
     order += [(bottom, k) for k in kept]
     qlat = Lattice(qnodes, order)
 
-    ring_at = {bottom: rings.ZERO}
-    projs = {}
-    for z in kept:
-        qdesc, proj = _component_quotient(m.dl.ring_at[z], ideal.spec_at(z))
-        ring_at[z] = qdesc
-        projs[z] = proj
+    projs = {z: ideal.spec_at(z).projection(m.dl.ring_at[z]) for z in kept}
+    ring_at = {bottom: rings.ZERO, **{z: proj.target for z, proj in projs.items()}}
 
     edge_homs = {}
     for up, lo in qlat.covers():

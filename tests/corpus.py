@@ -244,6 +244,11 @@ def finite_meadows() -> tuple[tuple[str, Meadow], ...]:
     return tuple(built)
 
 
+def ideal_leq(i1, i2) -> bool:
+    """Containment of two ideals of one finite structure, node by node, on their member sets."""
+    return all(i1.members_by_node(n) <= i2.members_by_node(n) for n in i1.meadow.lattice.nodes)
+
+
 @functools.lru_cache(maxsize=1)
 def hom_corpus() -> tuple[tuple[str, MeadowHom], ...]:
     """At least 50 validated homs between finite corpus structures."""

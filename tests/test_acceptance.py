@@ -15,7 +15,6 @@ from meadows.enumeration import (
     enumerate_meadow_hom_maps,
     enumerate_meadow_ideals,
     enumerate_ring_homs,
-    ideal_leq,
 )
 from meadows.errors import AmbiguousInverse
 from meadows.latfile import load_ideal_file, load_lattice_file
@@ -189,7 +188,7 @@ def test_acceptance_4_decompose_round_trip():
 
 
 def _is_maximal(i, proper):
-    return not any(j is not i and ideal_leq(i, j) and not ideal_leq(j, i) for j in proper)
+    return not any(j is not i and corpus.ideal_leq(i, j) and not corpus.ideal_leq(j, i) for j in proper)
 
 
 def test_acceptance_5_characterizations_and_ideals():

@@ -596,6 +596,37 @@ def test_a_subset_ideal_on_a_ring_past_the_listing_limit_is_refused(tmp_path, ca
         quotient(m, ideal_from_dict({"t": {"subset": subset}}, m))
 
 
+# an nZ that is not an integer of at least 1, on Z and on the Z node of Z -> Q
+BAD_NZ = {
+    "float": ("z.json", {"z": {"nZ": 2.5}, "a": "whole"}),
+    "huge_float": ("z.json", {"z": {"nZ": 1e300}, "a": "whole"}),
+    "float_on_chain": ("chain_z_q.json", {"z": {"nZ": 2.5}}),
+    "boolean": ("z.json", {"z": {"nZ": True}, "a": "whole"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_NZ))
+def test_cli_json_reports_an_nz_that_is_not_a_positive_integer_as_one_parse_error(name, tmp_path):
+    lattice, data = BAD_NZ[name]
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps(data))
+    proc, _seconds = _run_limited(["quotient", f"lattices/{lattice}", "--ideal", str(ideal)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ParseError"
+
+
+def test_cli_json_reports_an_ideal_file_naming_an_unknown_node(tmp_path, capsys):
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"z6": {"subset": [0, 3]}, "zz": "whole", "a": "whole"}))
+    assert main(["--json", "quotient", "lattices/z6.json", "--ideal", str(ideal)]) == 1
+    found = _single_json_error(capsys)
+    assert found["error"] == "UnknownNode"
+    assert "'zz'" in found["detail"]
+
+
 @pytest.mark.parametrize("samples", ["-5", "0"])
 def test_cli_json_refuses_a_sample_budget_below_one(samples, capsys):
     assert main(["--json", "check", "lattices/z.json", "--suite", "PM", "--samples", samples]) == 1

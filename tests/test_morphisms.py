@@ -4,6 +4,7 @@ import pytest
 
 from meadows import axioms, rings
 from meadows.errors import (
+    DescriptorMismatch,
     IdealIsWhole,
     IdealNotKilled,
     NotAHomomorphism,
@@ -18,7 +19,6 @@ from meadows.enumeration import (
     enumerate_meadow_hom_maps,
     enumerate_meadow_ideals,
     enumerate_ring_homs,
-    ideal_leq,
     maximal_ideals,
 )
 from meadows.meadow import build_meadow
@@ -272,6 +272,51 @@ def test_nz_ideal_on_chain():
     assert ideal_validate(ideal).ok
     bad = MeadowIdeal(N, {"n0": NZ(6), "n1": ZeroIdeal(), "a": WholeRing()})
     assert not ideal_validate(bad).ok  # 6Z does not land in the zero ideal of Q
+
+
+Z_PAIR = FiniteSubset({rings.ring_value(rings.Z, 0), rings.ring_value(rings.Z, 3)})
+Z3_VALUE = rings.ring_value(rings.Mod(3), 2)
+Z6_WITH_Z3_VALUE = FiniteSubset([rings.ring_value(rings.Mod(6), k) for k in range(5)] + [Z3_VALUE])
+
+# structure, node, spec; then the failing kind_fits check's witness and note,
+# or, for a spec that fits once normalised, the spec it normalises to
+KIND_CASES = {
+    "nz_on_q": ("chain", "n1", NZ(2), ((NZ(2),), "nZ only applies to Z")),
+    "subset_on_z": ("chain", "n0", Z_PAIR, ((Z_PAIR,), "explicit subsets need a finite ring")),
+    "z3_value_in_z6": ("z6", "top", Z6_WITH_Z3_VALUE, ((Z3_VALUE,), "value outside the component")),
+    "zero_subset_on_z": ("chain", "n0", FiniteSubset({rings.ring_value(rings.Z, 0)}), ZeroIdeal()),
+    "nz_one": ("chain", "n0", NZ(1), WholeRing()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KIND_CASES))
+def test_kind_fits_reports(case):
+    structure, node, spec, expected = KIND_CASES[case]
+    dl = corpus.chain_z_q() if structure == "chain" else corpus.single(rings.Mod(6))
+    ideal = MeadowIdeal(build_meadow(dl, mode="verify"), {node: spec, "a": WholeRing()})
+    report = ideal_validate(ideal)
+    (kind,) = [c for c in report.checks if c.name == f"kind_fits({node})"]
+    if isinstance(expected, tuple):
+        assert report.failures()[0] is kind
+        assert (kind.witness, kind.note) == expected
+    else:
+        assert kind.passed
+        assert ideal.spec_at(node) == expected
+
+
+def test_a_subset_that_does_not_fit_lists_no_members():
+    ideal = MeadowIdeal(build_meadow(corpus.chain_z_q(), mode="verify"), {"n0": Z_PAIR, "a": WholeRing()})
+    for ask in (ideal.members_by_node, ideal.probe_members):
+        with pytest.raises(DescriptorMismatch):
+            ask("n0")
+
+
+def test_a_failing_closure_check_names_the_first_failing_member_in_the_subsets_order():
+    m = adjoin_error(rings.Mod(6))
+    subset = FiniteSubset(rings.ring_value(rings.Mod(6), k) for k in (0, 1, 2))
+    first = next(v for v in subset.values if rings.neg(v) not in subset.values)
+    check = ideal_validate(MeadowIdeal(m, {"top": subset, "a": WholeRing()})).failures()[0]
+    assert (check.name, check.witness) == ("closed_under_neg(top)", (first,))
 
 
 def test_radical_shape():
@@ -614,5 +659,5 @@ def test_ideal_containment_order():
     }
     zero = ideals[frozenset({0})]
     evens = ideals[frozenset({0, 2, 4})]
-    assert ideal_leq(zero, evens)
-    assert not ideal_leq(evens, zero)
+    assert corpus.ideal_leq(zero, evens)
+    assert not corpus.ideal_leq(evens, zero)
