@@ -3,11 +3,14 @@
 Every law is data: a name plus equation text parsed by the expression
 parser, so the tables below are simultaneously the documentation and the
 executable definition.  Guarded laws carry premises ("x != a"), and a law
-may be a disjunction of equations (separated by '|').
+may be a disjunction of equations (separated by '|').  Laws compile to
+table lookups on a carrier index: an exhaustive check runs one loop nest
+per suite and arity (``_compile``), a sampled one scans law by law.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -36,7 +39,7 @@ from .terms import (
 EXHAUSTIVE_TUPLE_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a law hashes by identity, so no lookup of its scan hashes its terms
 class Law:
     name: str
     variables: tuple[str, ...]
@@ -173,50 +176,44 @@ def _suite_needs_inverse(laws) -> bool:
     return any(l.needs_inverse for l in laws)
 
 
-def _index(m: PreMeadow, exhaustive: bool):
-    """The index the compiled scans of m read.
+@functools.cache  # once per group of law objects
+def _compile(laws: tuple[Law, ...], nested: bool):
+    """(make_scan, tables read, closed terms read) for laws of one arity k.
 
-    Only an exhaustive check of a finite carrier with a certified inverse
-    reads the ``CarrierIndex``, tabulated up front; a sample reads few of
-    its cells, and an uncertified inverse must raise at the first tuple
-    that meets it, so any other check reads the meadow's ``lazy_index``.
+    ``make_scan(**tables, element=..., power=..., c0=..., ...)`` returns one
+    scan of the laws, each inlined as table lookups on ``v0``, ``v1``, ...
+    (its variables in order): a tuple passes when a premise is unmet or an
+    alternative holds.  The scan returns the tuples checked, then each law's
+    first failing tuple or None, once every law has failed.  Flat, it counts
+    the tuples of an iterable and makes each lookup as ``eval_term`` does:
+    premises, then alternatives, short-circuit left to right, left operand
+    first.  Nested, it runs k loops over the pool in ``itertools.product``
+    order and makes each lookup once, in the loop of the deepest variable it
+    reads, so it reads cells a short-circuit skips: only on a ``CarrierIndex``.
     """
-    if exhaustive and m.is_finite() and not (isinstance(m, Meadow) and m.status != "verified"):
-        return m.freeze_tables()
-    return m.lazy_index
-
-
-_COMPILED: dict = {}  # id(law) -> (law, _compile(law)); holding the law keeps its id unique
-
-
-def _compiled(l: Law):
-    """``_compile(l)``, compiled once per law object (looked up by identity,
-    so no call hashes the law's terms)."""
-    got = _COMPILED.get(id(l))
-    if got is None:
-        got = _COMPILED[id(l)] = (l, _compile(l))
-    return got[1]
-
-
-def _compile(l: Law):
-    """(make_scan, tables read, closed terms read) for the law.
-
-    ``make_scan(**tables, power=..., c0=..., ...)`` returns a scan whose
-    condition is the law inlined as table lookups: a tuple passes when a
-    premise is unmet or an alternative holds.  The scan takes an iterable
-    of variable tuples (in ``Law.variables`` order) and returns (tuples
-    checked, first failing tuple or None).  The tables are a
-    ``CarrierIndex`` or a ``LazyIndex`` (``_index``); premises, then
-    alternatives, short-circuit left to right, and each lookup evaluates
-    its left operand first, as ``eval_term`` does.
-    """
-    names = {v: f"v{k}" for k, v in enumerate(l.variables)}
+    k = len(laws[0].variables)
     constants: list[Term] = []
     tables: set[str] = set()
+    target = "(" + "".join(f"v{j}, " for j in range(k)) + ")"
+    if nested:  # block d: the loop of v{d}, after the lookups that read no later variable
+        blocks = [[f"for v{d} in source:"] for d in range(k)]
+    else:
+        blocks = [[f"for checked, {target} in enumerate(source, 1):"]]
+    depth = {f"v{j}": j + 1 for j in range(k)}  # code -> 1 + the index of the deepest variable it reads
+    hoisted: dict[str, str] = {}  # lookup code -> the local computing it
 
     def lookup(table: str, *args: str) -> str:
         tables.add(table)
-        return table + "".join(f"[{a}]" for a in args)
+        code = table
+        for arg in args:
+            d = max(depth.get(code, 0), depth.get(arg, 0))  # a table or closed term reads no variable
+            code = f"{code}[{arg}]"
+            if nested and d < k and code not in hoisted:
+                hoisted[code] = f"t{len(hoisted)}"
+                blocks[d].insert(-1, f"{hoisted[code]} = {code}")
+            code = hoisted.get(code, code)
+            depth[code] = d
+        return code
 
     def expr(t: Term) -> str:
         if isinstance(t, Var):
@@ -245,43 +242,45 @@ def _compile(l: Law):
                 base, n = lookup("inverse", base), -n
             if n == 1:
                 return base
-            return f"power(lambda p, q: {lookup('mul', 'p', 'q')}, {base}, {n})"
+            tables.add("mul")
+            code = f"power(lambda p, q: mul[p][q], {base}, {n})"
+            depth[code] = depth.get(base, 0)
+            return code
         raise TypeError(f"not a term: {t!r}")
 
-    parts = [f"{expr(lhs)} {'!=' if want else '=='} {expr(rhs)}" for lhs, rhs, want in l.premises]
-    parts += [f"{expr(lhs)} == {expr(rhs)}" for lhs, rhs in l.alternatives]
-    target = "(" + "".join(f"{v}, " for v in names.values()) + ")"
-    params = ", ".join(sorted(tables) + ["power"] + [f"c{k}" for k in range(len(constants))])
-    source = (
-        f"def make_scan({params}):\n"
-        f"    def scan(tuples):\n"
-        f"        checked = 0\n"
-        f"        for checked, {target} in enumerate(tuples, 1):\n"
-        f"            if not ({' or '.join(parts)}):\n"
-        f"                return checked, {target}\n"
-        f"        return checked, None\n"
-        f"    return scan\n"
-    )
+    ws = [f"w{i}" for i in range(len(laws))]  # w{i}: law i's first failing tuple, None while it holds
+    witnesses = ", ".join(ws)
+    checks: list[str] = []
+    for i, l in enumerate(laws):
+        names = {v: f"v{j}" for j, v in enumerate(l.variables)}
+        parts = [f"{expr(lhs)} {'!=' if want else '=='} {expr(rhs)}" for lhs, rhs, want in l.premises]
+        parts += [f"{expr(lhs)} == {expr(rhs)}" for lhs, rhs in l.alternatives]
+        checks += [
+            f"if w{i} is None and not ({' or '.join(parts)}):",
+            f"    w{i} = tuple(map(element, {target}))",
+            f"    if None not in ({witnesses},):",
+            f"        return checked, {witnesses}",
+        ]
+    lines = ["def scan(source):", "    checked = 0", f"    {' = '.join(ws)} = None"]
+    for d, block in enumerate(blocks + [checks], 1):
+        lines += ["    " * d + line for line in block]
+    lines.append(f"    return checked, {witnesses}")
+    params = ", ".join(sorted(tables) + ["element", "power"] + [f"c{k}" for k in range(len(constants))])
+    source = f"def make_scan({params}):\n" + "".join(f"    {line}\n" for line in lines) + "    return scan\n"
     namespace: dict = {}
-    exec(compile(source, f"<law {l.name}>", "exec"), namespace)
+    exec(compile(source, f"<laws {', '.join(l.name for l in laws)}>", "exec"), namespace)
     return namespace["make_scan"], tuple(sorted(tables)), tuple(constants)
 
 
-def _scan(l: Law, m: PreMeadow, ix):
-    make_scan, names, constants = _compiled(l)
+def _scan(laws: tuple[Law, ...], m: PreMeadow, ix, nested: bool = False):
+    make_scan, names, constants = _compile(laws, nested)
     args = {name: getattr(ix, name) for name in names}
     located = ix.constants  # each closed term is evaluated and located once per index
     for k, c in enumerate(constants):
         if c not in located:
             located[c] = ix.key(eval_term(c, m))
         args[f"c{k}"] = located[c]
-    scan_keys = make_scan(power=_power, **args)
-
-    def scan(tuples):
-        checked, witness = scan_keys(tuples)
-        return checked, None if witness is None else tuple(map(ix.element, witness))
-
-    return scan
+    return make_scan(element=ix.element, power=_power, **args)
 
 
 def _choices(rng, pool, count: int):
@@ -296,21 +295,47 @@ def _choices(rng, pool, count: int):
         yield pool[r]
 
 
-def _check_law(l: Law, scan, pool, exhaustive: bool, budget: int, rng) -> LawResult:
+def _check_budget(budget: int) -> None:
     if budget < 1:
         raise InvalidBudget(f"a sample budget must be at least 1 tuple, not {budget}")
-    k = len(l.variables)
-    if exhaustive or len(pool) ** k <= budget:
-        tuples = itertools.product(pool, repeat=k)
-    else:
-        tuples = zip(*[_choices(rng, pool, budget * k)] * k)
-    checked, witness = scan(tuples)
+
+
+def _result(l: Law, checked: int, witness) -> LawResult:
     return LawResult(
         name=l.name,
         status="pass" if witness is None else "fail",
         witnesses=[witness] if witness is not None else [],
         checked=checked,
     )
+
+
+def _check_law(l: Law, scan, pool, exhaustive: bool, budget: int, rng) -> LawResult:
+    _check_budget(budget)
+    k = len(l.variables)
+    if exhaustive or len(pool) ** k <= budget:
+        tuples = itertools.product(pool, repeat=k)
+    else:
+        tuples = zip(*[_choices(rng, pool, budget * k)] * k)
+    return _result(l, *scan(tuples))
+
+
+def _check_nested(laws: tuple[Law, ...], m: PreMeadow, ix, pool, budget: int) -> list[LawResult]:
+    """Each law's result, in suite order, from one nested scan per arity; a
+    failing law's count is its witness's rank in product order, plus 1."""
+    groups: dict[int, list[Law]] = {}  # arity -> its laws, in suite order
+    for l in laws:
+        groups.setdefault(len(l.variables), []).append(l)
+    scans = {k: _scan(tuple(group), m, ix, nested=True) for k, group in groups.items()}
+    _check_budget(budget)
+    results = {}
+    for k, group in groups.items():
+        _, *found = scans[k](pool)
+        for l, witness in zip(group, found):
+            rank = 0
+            for x in witness or ():
+                rank = rank * len(pool) + pool.index(ix.key(x))
+            results[l] = _result(l, len(pool) ** k if witness is None else rank + 1, witness)
+    return [results[l] for l in laws]
 
 
 def check_axioms(
@@ -342,18 +367,24 @@ def check_axioms(
     if exhaustive and not finite:
         raise InfiniteCarrier("exhaustive checking needs a finite carrier")
 
-    ix = _index(m, exhaustive)
+    # only an exhaustive check with a certified inverse reads the CarrierIndex, in nested
+    # scans; a sample reads few of its cells, and an uncertified inverse must raise at
+    # the first tuple that meets it, so any other check reads the lazy index law by law
+    nested = exhaustive and not (isinstance(m, Meadow) and m.status != "verified")
+    ix = m.freeze_tables() if nested else m.lazy_index
     pool = ix.pool
     if suite == "AssemblyMul":  # the unit locus: x^-1 lies in x's component
         zero_of, inverse = ix.zero_of, ix.inverse
         pool = [x for x in pool if zero_of[x] == zero_of[inverse[x]]]
-    scans = [_scan(l, m, ix) for l in laws]
-
-    rng = None if exhaustive else random.Random(seed)  # an exhaustive check draws nothing
-    results = [_check_law(l, scan, pool, exhaustive, budget, rng) for l, scan in zip(laws, scans)]
+    if nested:
+        results = _check_nested(laws, m, ix, pool, budget)
+    else:
+        scans = [_scan((l,), m, ix) for l in laws]
+        rng = None if exhaustive else random.Random(seed)  # an exhaustive check draws nothing
+        results = [_check_law(l, scan, pool, exhaustive, budget, rng) for l, scan in zip(laws, scans)]
     complete = exhaustive or (finite and all(len(pool) ** len(l.variables) <= budget for l in laws))
     mode = EXHAUSTIVE if complete else sampled(budget)
-    return AxiomReport(suite=suite, mode=mode, laws=results)
+    return AxiomReport(suite=suite, mode=mode, laws=results, seed=None if complete else seed)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +465,6 @@ def find_counterexample(dl, law_name: str, mode_budget: int = 512, seed: int = 0
         for l in suite:
             if l.name == law_name:
                 ix = m.lazy_index
-                result = _check_law(l, _scan(l, m, ix), ix.pool, m.is_finite(), mode_budget, random.Random(seed))
+                result = _check_law(l, _scan((l,), m, ix), ix.pool, m.is_finite(), mode_budget, random.Random(seed))
                 return tuple(result.witnesses[0]) if result.witnesses else None
     raise ValueError(f"unknown law {law_name!r}")

@@ -170,7 +170,7 @@ def _meadow_ideals(m: PreMeadow, ideals: dict, found: list[tuple]) -> list[Meado
         n: [WholeRing()] + [ZeroIdeal() if len(i) == 1 else PayloadSet(dict.fromkeys(i)) for i in ideals[n][1:]]
         for n in nodes
     }
-    return [MeadowIdeal(m, {n: specs[n][i] for n, i in zip(nodes, combo)}) for combo in found]
+    return [MeadowIdeal.of_bound(m, {n: specs[n][i] for n, i in zip(nodes, combo)}) for combo in found]
 
 
 def enumerate_meadow_ideals(m: PreMeadow) -> list[MeadowIdeal]:

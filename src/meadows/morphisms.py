@@ -382,10 +382,18 @@ class MeadowIdeal:
     ideal_at: dict
 
     def __post_init__(self):
+        zero = ZeroIdeal()
         self._specs = {
-            node: self.ideal_at.get(node, ZeroIdeal()).bind(desc)
+            node: self.ideal_at.get(node, zero).bind(desc)
             for node, desc in self.meadow.dl.ring_at.items()
         }
+
+    @classmethod
+    def of_bound(cls, meadow: PreMeadow, specs: dict) -> MeadowIdeal:
+        """The ideal of ``specs``, a bound spec at every node, taken as they are."""
+        ideal = cls.__new__(cls)
+        ideal.meadow, ideal.ideal_at, ideal._specs = meadow, specs, specs
+        return ideal
 
     def spec_at(self, node) -> IdealSpec:
         """The bound spec: degenerate subsets fold into Zero or Whole."""

@@ -87,6 +87,7 @@ class AxiomReport:
     suite: str
     mode: str
     laws: list[LawResult] = field(default_factory=list)
+    seed: int | None = None  # the sample's seed; None when exhaustive
 
     @property
     def ok(self) -> bool:
@@ -99,14 +100,17 @@ class AxiomReport:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
+        seed = {} if self.seed is None else {"seed": self.seed}
         return {
             "suite": self.suite,
             "mode": self.mode,
+            **seed,
             "laws": [
                 {
                     "name": r.name,
                     "status": r.status,
                     "witness": [[str(v) for v in w] for w in r.witnesses],
+                    "checked": r.checked,
                 }
                 for r in self.laws
             ],

@@ -2,8 +2,9 @@
 
 Every corpus lattice has at most 6 nodes, components drawn from residue
 rings and their products, and a carrier of at most 200 elements.  The
-builders beside them make the divisor lattices of a modulus and a diamond
-whose edge table misses an input, for the differential tests.
+builders beside them make the divisor lattices of a modulus, a diamond
+whose edge table misses an input and a chain whose edge table is not a
+ring hom, for the differential tests.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import functools
 import math
 
 from meadows import rings
+from meadows.latfile import lattice_from_dict
 from meadows.lattice import DirectedLattice, Lattice
 from meadows.meadow import Meadow, build_meadow
 from meadows.morphisms import MeadowHom, adjoin_error, glue, hom_from_carrier_map, meadow_product
@@ -131,6 +133,19 @@ def bad_table_diamond() -> DirectedLattice:
         {"t": four, "l": two, "r": two, "m": two, "a": rings.ZERO},
         {("t", "l"): rings.mod_to_mod(4, 2), ("t", "r"): bad, ("l", "m"): ident, ("r", "m"): ident},
     )
+
+
+def broken_table_chain() -> DirectedLattice:
+    """Z4 > Z2 > 0 whose edge table t -> m (0, 1, 1, 0) is not a ring hom; unvalidated.
+
+    Several laws of one arity fail on it at once: as a pre-meadow, PM1, PM5
+    and PM8, the whole of PM's arity-3 group.
+    """
+    return lattice_from_dict({
+        "nodes": {"t": {"ring": {"mod": 4}}, "m": {"ring": {"mod": 2}}, "a": {"ring": "zero"}},
+        "order": [["a", "m"], ["m", "t"]],
+        "homs": [{"from": "t", "to": "m", "map": {"table": [[0, 0], [1, 1], [2, 1], [3, 0]]}}],
+    })
 
 
 def without_implied_path_checks(L: Lattice, checks) -> list:

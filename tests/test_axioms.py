@@ -159,6 +159,8 @@ def test_a_sample_budget_below_one_is_refused_not_passed(budget):
         axioms.find_counterexample(corpus.chain_z_q(), "CIL", mode_budget=budget)
     with pytest.raises(InvalidBudget):
         axioms.check_axioms(build_meadow(corpus.chain_z_q()), "CIL", budget=budget)
+    with pytest.raises(InvalidBudget):  # an exhaustive check draws nothing, and still refuses it
+        axioms.check_axioms(dict(corpus.finite_meadows())["z6"], "PM", exhaustive=True, budget=budget)
 
 
 def test_find_counterexample_broken_square_distributivity():

@@ -11,6 +11,9 @@ For every suite, the report (mode, and each law's name, status, witnesses
 and checked count) or the exception (type and message) must be the same:
 - on the corpus finite meadows, verified and built lazily, and on a few
   pre-meadows;
+- on ``corpus.broken_table_chain()``, whose exhaustive checks fail several
+  laws of one arity at once, as a pre-meadow and as a meadow taken as
+  verified and built lazily;
 - on ``corpus.chain_z_q()`` and every shipped file, the ambiguous files
   built lazily;
 - on the infinite carriers, with hypothesis-drawn budgets and seeds;
@@ -34,7 +37,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from meadows import axioms, cli, rings
 from meadows.errors import AmbiguousInverse, InfiniteCarrier
 from meadows.latfile import load_lattice_file
-from meadows.meadow import Meadow, build_meadow, build_premeadow
+from meadows.meadow import Meadow, PreMeadow, build_meadow, build_premeadow
 from meadows.report import EXHAUSTIVE, AxiomReport, sampled
 from meadows.terms import eval_term
 
@@ -113,6 +116,9 @@ def _carriers():
     for name in ("z6_split_diamond", "chain_z4_z2", "z2xz3"):
         dl = dict(corpus.valid_finite_lattices())[name]
         out.append((f"premeadow:{name}", (lambda dl=dl: build_premeadow(dl),)))
+    broken = corpus.broken_table_chain
+    out.append(("premeadow:broken_table_chain", (lambda: PreMeadow(broken()),)))
+    out.append(("broken_table_chain", (lambda: Meadow(broken(), "verified"), lambda: Meadow(broken(), "lazy"))))
     out.append(("corpus:chain_z_q", (lambda: build_meadow(corpus.chain_z_q()),)))
     for path in sorted((ROOT / "lattices").glob("*.json")):
         if "ideal" not in path.stem:
@@ -133,6 +139,27 @@ def test_check_axioms_matches_the_element_scan(name, builders):
         want = outcome(reference_check_axioms, builders[0](), suite)
         for make in builders:
             assert outcome(axioms.check_axioms, make(), suite) == want, suite
+
+
+BROKEN_FAILURES = {
+    "PM": ["PM1", "PM5", "PM8"],
+    "CM": ["M1", "M5", "M8", "M11"],
+    "Identities": ["-(x*y) = x*(-y)", "(-x)*(-y) = x*y", "(-1)*x = -x"],
+    "AssemblyMul": ["U-closure"],
+    "NVL": ["NVL"],
+    "CIL": ["CIL"],
+}
+
+
+@pytest.mark.parametrize("make", [PreMeadow, lambda dl: Meadow(dl, "verified")], ids=["premeadow", "verified"])
+def test_several_failing_laws_of_one_group_each_match_the_element_scan(make):
+    # an exhaustive check scans each arity's laws together; each failing law
+    # keeps its own first witness and count, and the scan runs on past it
+    for suite in ("PM",) if make is PreMeadow else SUITES:
+        got = outcome(axioms.check_axioms, make(corpus.broken_table_chain()), suite, exhaustive=True)
+        assert got == outcome(reference_check_axioms, make(corpus.broken_table_chain()), suite, exhaustive=True)
+        assert got[1] == EXHAUSTIVE
+        assert [name for name, status, _, _ in got[2] if status == "fail"] == BROKEN_FAILURES.get(suite, []), suite
 
 
 @pytest.mark.parametrize("name, make", INFINITE, ids=[name for name, _ in INFINITE])

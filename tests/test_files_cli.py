@@ -242,6 +242,21 @@ def test_cli_check_json_error(capsys):
     assert payload["error"] == "AmbiguousInverse"
 
 
+@pytest.mark.parametrize(
+    "argv, seed",
+    [(["lattices/z.json", "--seed", "5"], 5), (["lattices/z6.json", "--suite", "CIL", "--seed", "5"], None)],
+    ids=["sampled", "exhaustive"],
+)
+def test_cli_json_check_gives_each_laws_tuple_count_and_a_samples_seed(argv, seed, capsys):
+    code = main(["--json", "check", *argv])
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert main(["check", *argv]) == code
+    text = capsys.readouterr().out.splitlines()
+    counts = [f"[{law['checked']} tuples]" for report in reports for law in report["laws"]]
+    assert counts == [line.split("  ")[3] for line in text if not line.startswith("suite ")]
+    assert [report.get("seed") for report in reports] == [seed] * len(reports)
+
+
 def test_cli_check_cil_fails_on_z6(capsys):
     assert main(["check", "lattices/z6.json", "--suite", "CIL", "--exhaustive"]) == 1
     out = capsys.readouterr().out
@@ -627,9 +642,16 @@ def test_cli_json_reports_an_ideal_file_naming_an_unknown_node(tmp_path, capsys)
     assert "'zz'" in found["detail"]
 
 
-@pytest.mark.parametrize("samples", ["-5", "0"])
-def test_cli_json_refuses_a_sample_budget_below_one(samples, capsys):
-    assert main(["--json", "check", "lattices/z.json", "--suite", "PM", "--samples", samples]) == 1
+@pytest.mark.parametrize(
+    "samples, flags",
+    [
+        pytest.param("-5", ["lattices/z.json"], id="-5"),
+        pytest.param("0", ["lattices/z.json"], id="0"),
+        pytest.param("0", ["lattices/z6.json", "--exhaustive"], id="exhaustive-0"),
+    ],
+)
+def test_cli_json_refuses_a_sample_budget_below_one(samples, flags, capsys):
+    assert main(["--json", "check", *flags, "--suite", "PM", "--samples", samples]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
