@@ -179,10 +179,7 @@ def main(argv=None) -> int:
             detail = {"error": type(exc).__name__, "detail": str(exc)}
             report = getattr(exc, "report", None)
             if report is not None:
-                detail["checks"] = [
-                    {"name": c.name, "status": "pass" if c.passed else "fail"}
-                    for c in report.checks
-                ]
+                detail["checks"] = [c.to_json_dict() for c in report.checks]
             print(json.dumps(detail), file=sys.stderr)
         else:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -67,8 +67,12 @@ def ring_to_json(desc: rings.RingDescriptor):
 
 def value_from_json(desc: rings.RingDescriptor, obj) -> rings.RingValue:
     """The exact value of ``desc`` written as ``obj``; floats are refused."""
+    return rings.RingValue(desc, _payload_from_json(desc, obj))
+
+
+def _payload_from_json(desc: rings.RingDescriptor, obj):
     try:
-        return rings.ring_value(desc, obj)
+        return rings._payload(desc, obj)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"bad value {obj!r} for {desc}: {exc}") from exc
 
@@ -105,16 +109,17 @@ def _hom_from_json(spec, source: rings.RingDescriptor, target: rings.RingDescrip
                 raise ParseError(f"project needs a product source, got {source}")
             return rings.project(source, spec["project"])
         if "table" in spec:
-            pairs = [
-                (value_from_json(source, i), value_from_json(target, o))
-                for i, o in spec["table"]
-            ]
-            image: dict = {}  # canonical input -> its first image
-            for i, o in pairs:
-                first = image.setdefault(i, o)
-                if first != o:
-                    raise ParseError(f"the table {source} -> {target} maps {i} to two images, {first} and {o}")
-            return rings.table_hom(source, target, pairs)
+            # each entry canonicalized once, to payloads of the two rings
+            entries, image = [], {}  # image: canonical input -> its first image
+            for i, o in spec["table"]:
+                pin, pout = _payload_from_json(source, i), _payload_from_json(target, o)
+                first = image.setdefault(pin, pout)
+                if first != pout:
+                    x = rings.RingValue(source, pin)
+                    a, b = rings.RingValue(target, first), rings.RingValue(target, pout)
+                    raise ParseError(f"the table {source} -> {target} maps {x} to two images, {a} and {b}")
+                entries.append((pin, pout))
+            return rings.RingHom(source, target, rings.TableRule(tuple(entries), (source, target)))
     raise ParseError(f"unrecognized hom spec {spec!r}")
 
 

@@ -176,6 +176,7 @@ class DirectedLattice:
         self._plans: dict[tuple, tuple] = {}  # (i, j) -> _meet_plan(i, j)
         self._passed: ValidationReport | None = None  # dl_validate's passing report
         self._exact = False  # passed on exact data (``checked_exactly`` over the covers)
+        self._tables: dict = {}  # finite ring -> its FiniteTables
 
     def transition(self, i, j) -> rings.RingHom:
         """The composite hom from the ring at i down to the ring at j.
@@ -237,6 +238,15 @@ class DirectedLattice:
         plan = self._plans[(i, j)] = k, f, g, self.ring_at[k]
         return plan
 
+    def tables(self, desc: rings.RingDescriptor) -> rings.FiniteTables:
+        """The ``FiniteTables`` of a finite ring, built once per directed
+        lattice and read by its edge checks, inverse certification and
+        carrier index."""
+        got = self._tables.get(desc)
+        if got is None:
+            got = self._tables[desc] = rings.FiniteTables(desc)
+        return got
+
     def is_finite(self) -> bool:
         return all(rings.is_finite(d) for d in self.ring_at.values())
 
@@ -294,7 +304,7 @@ def dl_validate(dl: DirectedLattice) -> ValidationReport:
         if hom.source != dl.ring_at[up] or hom.target != dl.ring_at[lo]:
             report.add(f"edge_hom({up}->{lo})", False, (hom.source, hom.target), note="endpoint mismatch")
             continue
-        sub = rings.hom_proof(hom) or rings.hom_validate(hom)
+        sub = rings.hom_proof(hom) or rings.hom_validate(hom, dl.tables)
         report.absorb(sub, prefix=f"edge({up}->{lo}).")
     if not report.ok:
         return report

@@ -245,17 +245,13 @@ class CarrierIndex:
         if not m.is_finite():
             raise InfiniteCarrier("carrier is infinite")
         self.meadow = m
-        tables: dict = {}  # ring -> its FiniteTables, shared by the nodes carrying it
-        self._rings: dict = {}  # node -> the FiniteTables of its ring
+        self._rings: dict = {}  # node -> the FiniteTables of its ring, the lattice's own
         self._start: dict = {}  # node -> index of its first element
         size = 0
         for n in m.lattice.nodes:
-            desc = m.dl.ring_at[n]
-            if desc not in tables:
-                tables[desc] = rings.FiniteTables(desc)
-            self._rings[n] = tables[desc]
+            self._rings[n] = m.dl.tables(m.dl.ring_at[n])
             self._start[n] = size
-            size += len(tables[desc].payloads)
+            size += len(self._rings[n].payloads)
         self._nodes, self._starts = list(self._start), list(self._start.values())
         self._pushes: dict = {}
         self.pool = range(size)
@@ -597,9 +593,13 @@ def _verify_inverses(m: Meadow) -> None:
     the maximal nodes of ``inverse_witness`` without imaging the probe into
     its whole down-set.  An element is built only for the error.
     """
-    ring_at, maximal = m.dl.ring_at, m.lattice.maximal
-    # every node's probe payloads first: a ring too large to list is refused before any probe
-    pools = [(node, rings._pool(ring_at[node])) for node in m.lattice.nodes]
+    maximal = m.lattice.maximal
+    # every node's probe payloads first, a finite ring's from the lattice's
+    # tables: a ring too large to list is refused before any probe
+    pools = []
+    for node in m.lattice.nodes:
+        desc = m.dl.ring_at[node]
+        pools.append((node, m.dl.tables(desc).payloads if desc.finite else desc.sample()))
     for node, payloads in pools:
         for p in payloads:
             stops = m._unit_stops((node, p))

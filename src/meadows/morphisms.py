@@ -70,7 +70,8 @@ def hom_build(src: PreMeadow, dst: PreMeadow, lattice_map: dict, ring_maps: dict
 
     Checks, in order: node coverage, lattice hom laws (leq, meets, top and
     bottom), each ring map's endpoints and ring-hom laws (proved from its
-    rule, else ``rings.hom_validate``), then the commuting squares, decided
+    rule, else ``rings.hom_validate`` on the finite tables the two meadows'
+    lattices hold), then the commuting squares, decided
     as ``dl_validate`` decides paths (``NodeProbes``): on each node ring's
     generators when the data is exact (both lattices passed ``dl_validate``
     and every cover edge and ring map is ``checked_exactly``), else on every
@@ -108,11 +109,14 @@ def hom_build(src: PreMeadow, dst: PreMeadow, lattice_map: dict, ring_maps: dict
     if lattice_map[L.bottom] != Ldst.bottom:
         raise NotLatticeHom("bottom must map to bottom")
 
+    def tables(desc):  # a ring map runs from a ring of src to one of dst
+        return (src.dl if desc in src.dl.ring_at.values() else dst.dl).tables(desc)
+
     for z in L.nodes:
         h = ring_maps[z]
         if h.source != src.dl.ring_at[z] or h.target != dst.dl.ring_at[lattice_map[z]]:
             raise TargetMismatch(f"ring map at {z!r} has endpoints {h.source} -> {h.target}")
-        sub = rings.hom_proof(h) or rings.hom_validate(h)
+        sub = rings.hom_proof(h) or rings.hom_validate(h, tables)
         if not sub.ok:
             names = [c.name for c in sub.failures()]
             if "preserves_one" in names:

@@ -20,6 +20,19 @@ class CheckResult:
     note: str = ""
     sampled: bool = False  # the inputs were a sample of an infinite domain
 
+    def shown_witness(self) -> list[str] | None:
+        """The witness's entries as text (values in their ring's own syntax), or None."""
+        return None if self.witness is None else [str(v) for v in self.witness]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "status": "pass" if self.passed else "fail",
+            "witness": self.shown_witness(),
+            "checked": self.checked,
+            "sampled": self.sampled,
+        }
+
 
 @dataclass
 class ValidationReport:
@@ -57,7 +70,7 @@ class ValidationReport:
         if not bad:
             return f"{self.subject}: ok ({self.mode}, {len(self.checks)} checks)"
         first = bad[0]
-        tail = f"; witness {first.witness}" if first.witness is not None else ""
+        tail = "" if first.witness is None else f"; witness ({', '.join(first.shown_witness())})"
         return f"{self.subject}: FAILED {first.name}{tail} ({len(bad)} of {len(self.checks)} checks failed)"
 
     def raise_if_failed(self, exc_type=None) -> ValidationReport:

@@ -45,9 +45,10 @@ class RingDescriptor:
     ``to_raw`` (its inverse, JSON-ready), ``from_int``, ``add``, ``mul``,
     ``neg``, ``is_unit``, ``inverse`` (of a unit), ``characteristic`` (None
     for characteristic zero), ``random`` and ``format``.  A finite ring sets
-    ``finite`` and gives ``size``, ``elements`` and ``index_table`` (the
-    tables of ``FiniteTables``); an infinite one gives the probe payloads
-    of ``sample``.  ``generators`` are payloads whose images fix a ring hom
+    ``finite`` and gives ``size``, ``elements``, ``index_row`` and
+    ``index_table`` (a row, and the whole, of the tables of
+    ``FiniteTables``, over ``elements`` indices); an infinite
+    one gives the probe payloads of ``sample``.  ``generators`` are payloads whose images fix a ring hom
     out of the ring.
     """
 
@@ -80,6 +81,10 @@ class RingDescriptor:
 
     def characteristic(self):
         return None
+
+    def index_table(self, name: str) -> list[list[int]]:
+        """The whole ``add`` or ``mul`` table of a finite ring, row by row."""
+        return [self.index_row(name, i) for i in range(self.size())]
 
     def to_raw(self, a):
         return a
@@ -210,12 +215,12 @@ class Mod(RingDescriptor):
     def elements(self):
         return list(range(self.n))
 
-    def index_table(self, name: str) -> list[list[int]]:
+    def index_row(self, name: str, i: int) -> list[int]:
         n = self.n
-        if name == "add":  # row i: i, i + 1, ..., n - 1, 0, ..., i - 1
-            return [[*range(i, n), *range(i)] for i in range(n)]
-        # row i: 0, i, 2i, ... reduced mod n
-        return [[0] * n] + [list(map(n.__rmod__, range(0, i * n, i))) for i in range(1, n)]
+        if name == "add":  # i, i + 1, ..., n - 1, 0, ..., i - 1
+            return [*range(i, n), *range(i)]
+        # 0, i, 2i, ... reduced mod n
+        return list(map(n.__rmod__, range(0, i * n, i))) if i else [0] * n
 
     def random(self, rng):
         return rng.randrange(self.n)
@@ -328,10 +333,7 @@ class Product(RingDescriptor):
         items = tuple(raw)
         if len(items) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} coordinates, got {len(items)}")
-        return tuple(
-            ring_value(f, it).payload if isinstance(it, RingValue) else _canon_payload(f, it)
-            for f, it in zip(self.factors, items)
-        )
+        return tuple(_payload(f, it) for f, it in zip(self.factors, items))
 
     def to_raw(self, a):
         return [f.to_raw(x) for f, x in zip(self.factors, a)]
@@ -374,8 +376,20 @@ class Product(RingDescriptor):
     def elements(self):
         return list(itertools.product(*map(_listed, self.factors)))
 
+    def index_row(self, name: str, i: int) -> list[int]:
+        # the factors' rows at the coordinates of element i, in mixed radix
+        digits = []
+        for f in reversed(self.factors):
+            i, d = divmod(i, f.size())
+            digits.append(d)
+        row = [0]
+        for f, d in zip(self.factors, reversed(digits)):
+            q, frow = f.size(), f.index_row(name, d)
+            row = [x * q + y for x in row for y in frow]
+        return row
+
     def index_table(self, name: str) -> list[list[int]]:
-        # mixed radix, the last factor fastest, as ``elements`` orders them
+        # all rows at once: the factor tables combined block by block
         table = [[0]]
         for f in self.factors:
             q, rows = f.size(), f.index_table(name)
@@ -424,8 +438,8 @@ class Zero(RingDescriptor):
     def elements(self):
         return [TOK]
 
-    def index_table(self, name: str) -> list[list[int]]:
-        return [[0]]
+    def index_row(self, name: str, i: int) -> list[int]:
+        return [0]
 
     def format(self, a):
         return "a"
@@ -521,13 +535,18 @@ def _canon_payload(desc: RingDescriptor, raw):
     return desc.canon(raw)
 
 
-def ring_value(desc: RingDescriptor, raw) -> RingValue:
-    """Coerce raw data into the canonical element of ``desc``."""
+def _payload(desc: RingDescriptor, raw):
+    """The canonical payload of raw data, or of a ``RingValue`` of ``desc``."""
     if isinstance(raw, RingValue):
         if raw.ring != desc:
             raise DescriptorMismatch(f"{raw} is not in {desc}")
-        return raw
-    return RingValue(desc, _canon_payload(desc, raw))
+        return raw.payload
+    return _canon_payload(desc, raw)
+
+
+def ring_value(desc: RingDescriptor, raw) -> RingValue:
+    """Coerce raw data into the canonical element of ``desc``."""
+    return raw if isinstance(raw, RingValue) and raw.ring == desc else RingValue(desc, _payload(desc, raw))
 
 
 def zero_value(desc: RingDescriptor) -> RingValue:
@@ -613,20 +632,33 @@ class FiniteTables:
 
     ``payloads[i]`` is the payload of element i (element 0 is the zero)
     and ``index`` maps it back to i; ``elements`` wraps them as
-    ``RingValue``s.  ``add`` and ``mul``
-    are N x N tables of element indices, built by the descriptor's
-    ``index_table`` (past ``TABLE_CELL_LIMIT`` cells, ``RingTooLarge``);
-    ``neg`` lists the index of each element's negative, and ``inverse``
-    that of its inverse, None where it is not a unit.  Everything but
-    ``payloads`` and ``index`` is built the first time it is read.  A
+    ``RingValue``s.  ``add`` and ``mul`` are N x N tables of element
+    indices (past ``TABLE_CELL_LIMIT`` cells, ``RingTooLarge``), built by
+    the descriptor's ``index_table``, and ``row`` computes one of their rows
+    alone (``index_row``), for a check that needs a few; ``neg`` lists the
+    index of each element's negative, and ``inverse`` that of its inverse,
+    None where it is not a unit.  Everything but ``payloads`` is built the
+    first time it is read.  A
     product's order is mixed radix with the last factor fastest, so its
-    tables combine the factor tables with integer arithmetic alone.
+    tables and rows combine its factors' with integer arithmetic alone.  A
+    directed lattice keeps one per finite ring (``DirectedLattice.tables``).
     """
 
     def __init__(self, desc: RingDescriptor):
         self.desc = desc
         self.payloads = _listed(desc)
-        self.index = {p: i for i, p in enumerate(self.payloads)}
+        self._rows: dict = {}  # (op, i) -> row i of the op's table
+
+    def row(self, op: str, i: int) -> list[int]:
+        """Row i of ``add`` or ``mul``, computed alone (``index_row``) and kept."""
+        got = self._rows.get((op, i))
+        if got is None:
+            got = self._rows[op, i] = self.desc.index_row(op, i)
+        return got
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {p: i for i, p in enumerate(self.payloads)}
 
     @functools.cached_property
     def elements(self) -> list[RingValue]:
@@ -644,13 +676,15 @@ class FiniteTables:
 
     @functools.cached_property
     def add(self) -> list[list[int]]:
-        check_cells(str(self.desc), len(self.payloads))
-        return self.desc.index_table("add")
+        return self._table("add")
 
     @functools.cached_property
     def mul(self) -> list[list[int]]:
+        return self._table("mul")
+
+    def _table(self, op: str) -> list[list[int]]:
         check_cells(str(self.desc), len(self.payloads))
-        return self.desc.index_table("mul")
+        return self.desc.index_table(op)
 
 
 def is_field(desc: RingDescriptor) -> bool:
@@ -873,27 +907,64 @@ class PairRule(HomRule):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TableRule(HomRule):
-    graph: tuple[tuple[RingValue, RingValue], ...]
+    """A hom given by its graph, the first entry for an input winning.
+
+    ``entries`` are canonical (input, image) payload pairs of ``ends``, the
+    (source, target) of ``table_hom`` or a lattice file; ``TableRule(graph)``
+    keeps a graph of ``RingValue`` pairs as given, ``ends`` None, and its map
+    skips inputs outside the hom's source.  The compiled map is one dict
+    read: an input with no entry raises ``TableIncomplete``, one whose image
+    lies outside the target ``DescriptorMismatch``.  The rule compares,
+    hashes and prints as ``graph``, its ``RingValue`` pairs sorted by the
+    repr of each input (stably), built when first read.
+    """
+
+    entries: tuple
+    ends: tuple | None = None
+
+    @functools.cached_property
+    def graph(self) -> tuple[tuple[RingValue, RingValue], ...]:
+        if self.ends is None:
+            return tuple(self.entries)
+        source, target = self.ends
+        pairs = ((RingValue(source, i), RingValue(target, o)) for i, o in self.entries)
+        # every input lies in source, so its repr is a shared prefix, the payload's repr and ")"
+        return tuple(sorted(pairs, key=lambda p: f"{p[0].payload!r})"))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.graph == other.graph
+
+    def __hash__(self):
+        return hash(self.graph)
+
+    def __repr__(self):
+        return f"TableRule(graph={self.graph!r})"
 
     def compile(self, h):
-        # input payload -> output value for the entries from h.source; on
-        # duplicate inputs the first graph entry wins
         source, target, show = h.source, h.target, h.source.format
-        lookup: dict = {}
-        for vin, vout in self.graph:
-            if vin.ring == source:
-                lookup.setdefault(vin.payload, vout)
+        strays: dict = {}  # input payload -> why its image is refused
+        if self.ends == (source, target):
+            images = dict(reversed(self.entries))  # the first entry for an input wins
+        else:
+            images = {}
+            for vin, vout in self.graph:
+                p = vin.payload
+                if vin.ring != source or p in images or p in strays:
+                    continue
+                if vout.ring == target:
+                    images[p] = vout.payload
+                else:
+                    strays[p] = f"the image {vout} of {show(p)} lies in {vout.ring}, not in {target}"
 
         def look_up(p):
             try:
-                out = lookup[p]
+                return images[p]
             except KeyError:
+                if p in strays:
+                    raise DescriptorMismatch(strays[p]) from None
                 raise TableIncomplete(f"no table entry for {show(p)}") from None
-            if out.ring is not target and out.ring != target:
-                raise DescriptorMismatch(f"the image {out} of {show(p)} lies in {out.ring}, not in {target}")
-            return out.payload
 
         return look_up
 
@@ -1007,16 +1078,9 @@ def pair_hom(components) -> RingHom:
 
 
 def table_hom(source: RingDescriptor, target: RingDescriptor, pairs) -> RingHom:
-    # sorted by each input's repr: every input lies in source, so that repr
-    # is this prefix, then the payload's repr and ")"
-    head = f"RingValue(ring={source!r}, payload="
-    graph = tuple(
-        sorted(
-            ((ring_value(source, i), ring_value(target, o)) for i, o in pairs),
-            key=lambda p: f"{head}{p[0].payload!r})",
-        )
-    )
-    return RingHom(source, target, TableRule(graph))
+    """The hom whose graph is ``pairs`` of (input, image), each raw data or a ``RingValue``."""
+    entries = tuple((_payload(source, i), _payload(target, o)) for i, o in pairs)
+    return RingHom(source, target, TableRule(entries, (source, target)))
 
 
 def compose_homs(*homs: RingHom) -> RingHom:
@@ -1093,24 +1157,27 @@ class _OffTarget(Exception):
     """An image that is not an element of the hom's finite target."""
 
 
-def hom_validate(h: RingHom) -> ValidationReport:
+def hom_validate(h: RingHom, tables: Callable = FiniteTables) -> ValidationReport:
     """Check 0, 1, + and * preservation; violations become report content.
 
-    A finite source is checked on every pair, on its ``FiniteTables``: the
-    hom is applied once per source element, and when the target is finite
-    and no larger than the source each equation is a lookup in both rings'
-    tables (a larger target's tables would cost more than the pairs they
-    serve, so its images are added and multiplied as values).  An infinite
-    source is probed with the fixed sample of ``_validation_inputs``
-    (``SAMPLE_SIZE`` random elements and pairs), element by element.  A table
-    that misses an input, or maps one outside the target, ends the report
-    with a failed ``table_covers_source`` or ``images_in_target`` check.
+    A finite source is checked on every pair, on its ``FiniteTables``,
+    ``tables(h.source)`` (a directed lattice passes its own, built once per
+    ring): the hom is applied once per source element, and when the target
+    is finite and no larger than the source each equation is a lookup in
+    both rings' tables (a larger target's tables would cost more than the
+    pairs they serve, so its images are added and multiplied as payloads).
+    Once 0 and 1 are preserved, + and * are decided on additive generators
+    (``_validate_on_index``).  An infinite source is probed with the fixed
+    sample of ``_validation_inputs`` (``SAMPLE_SIZE`` random elements and
+    pairs), element by element.  A table that misses an input, or maps one
+    outside the target, ends the report with a failed
+    ``table_covers_source`` or ``images_in_target`` check.
     """
     if is_finite(h.source):
-        src = FiniteTables(h.source)
+        src = tables(h.source)
         if is_finite(h.target) and ring_size(h.target) <= len(src.payloads):
             try:
-                return _validate_on_index(h, src, src if h.target == h.source else FiniteTables(h.target))
+                return _validate_on_index(h, src, src if h.target == h.source else tables(h.target))
             except _OffTarget:
                 pass
         return _validate_on_index(h, src, None)
@@ -1140,66 +1207,121 @@ def hom_validate(h: RingHom) -> ValidationReport:
     return report
 
 
+_UNSET = object()  # an image not computed yet
+
+
 def _validate_on_index(h: RingHom, src: FiniteTables, dst: FiniteTables | None) -> ValidationReport:
     """hom_validate on a finite source, pairs in ``itertools.product`` order.
 
     Images are indices into ``dst`` when it is given (an image outside it
-    raises ``_OffTarget``), else target values combined with ``add``/``mul``.
-    Each image is computed on first use, in the order the element-by-element
-    check asks for them, so a missing table entry fails at the same pair.
-    Once zero is preserved into ``dst``, row 0 of + (0 + x = x) asks for
-    every image in index order, so they are all computed then, and each row
-    of a table is compared whole; only a row that differs is walked pair by
-    pair, for its first witness.
-    """
-    elems = src.elements
-    if dst is None:
-        image_of = functools.partial(hom_apply, h)
-        zero_t, one_t = zero_value(h.target), one_value(h.target)
-    else:
+    raises ``_OffTarget``), else target payloads combined by the target's
+    ``add``/``mul``.  The map ``h.fn`` is applied once per input, on first
+    use, in the order the pair-by-pair check asks for images, so a missing
+    table entry fails at the same pair.  Once zero is preserved, row 0 of +
+    (0 + x = x) asks for every image in index order, so they are all
+    computed then.
 
-        def image_of(x):
-            k = dst.index.get(hom_apply(h, x).payload)
+    Once 0 and 1 are also preserved, each equation is decided on
+    G = {1} + ``generators()``, which generates the additive group of every
+    finite ring here (1 generates Z_n; a product's idempotents and its
+    factors' generators generate it coordinate by coordinate):
+
+    - f is additive iff f(x + g) = f(x) + f(g) for every x and every g in G,
+      one row of + per generator.  The g for which this holds at every x
+      are closed under +: f(x + g + g') = f(x + g) + f(g') = f(x) + f(g) +
+      f(g') = f(x) + f(g + g'), the last step at x = g.  In a finite group
+      the sums of elements of G fill the subgroup they generate (-g is a
+      multiple of g), so they hold at every element.
+    - an additive f is multiplicative iff f(gh) = f(g)f(h) for every g, h in
+      G: with x and y sums of elements of G, f(xy) and f(x)f(y) expand, by
+      additivity, into the same sum.
+
+    So a decision that holds proves its equation on all |R|^2 pairs, which
+    the report counts, as ``hom_proof`` does.  Only an equation that fails
+    (or is not decided) is scanned pair by pair, each row compared whole
+    and one that differs walked, so a failing report keeps its first
+    witness in product order.
+    """
+    desc, payloads = h.source, src.payloads
+    fn, target = h.fn, h.target
+    if dst is None:
+        image_of = fn
+        zero_t, one_t = target.from_int(0), target.from_int(1)
+
+        def combine(op, a):  # b -> a op b on images
+            return functools.partial(getattr(target, op), a)
+
+    else:
+        index = dst.index
+
+        def image_of(p):
+            k = index.get(fn(p))
             if k is None:
                 raise _OffTarget
             return k
 
-        zero_t, one_t = 0, dst.index[h.target.from_int(1)]
-    img: list = [None] * len(elems)
+        zero_t, one_t = 0, index[target.from_int(1)]
+
+        def combine(op, a):
+            return dst.row(op, a).__getitem__
+
+    n = len(payloads)
+    img = [_UNSET] * n
 
     def image(i):
         k = img[i]
-        if k is None:
-            k = img[i] = image_of(elems[i])
+        if k is _UNSET:
+            k = img[i] = image_of(payloads[i])
         return k
 
-    def first_bad(src_table, dst_table, op):
+    def image_all():  # in the order row 0 of + asks for them
+        for i, k in enumerate(img):
+            if k is _UNSET:
+                img[i] = image_of(payloads[i])
+
+    def first_bad(op):
         # x is imaged before the row: x + 0 = x and x * 0 = 0 (index 0), so
         # this adds no image the pairwise order would not have asked for first
-        for i, row in enumerate(src_table):
-            a = image(i)
-            out = dst_table[a].__getitem__ if dst_table is not None else functools.partial(op, a)
+        for i in range(n):
+            row, out = src.row(op, i), combine(op, image(i))
             if rows and list(map(img.__getitem__, row)) == list(map(out, img)):
                 continue
             for j, s in enumerate(row):
                 if image(s) != out(image(j)):
-                    return elems[i], elems[j]
+                    return i, j
         return None
 
+    def holds(op, over):  # f(g op x) = f(g) op f(x) for every g in G and every x in over
+        at = img.__getitem__
+        for g in gens:
+            row, out = src.row(op, g), combine(op, img[g])
+            if list(map(at, map(row.__getitem__, over))) != list(map(out, map(at, over))):
+                return False
+        return True
+
     report = ValidationReport(subject=str(h))
-    zero, one = elems[0], one_value(h.source)
+    one = src.index[desc.from_int(1)]
     try:
         ok = image(0) == zero_t
-        report.add("preserves_zero", ok, None if ok else (zero,), checked=1)
-        rows = ok and dst is not None
-        ok = image(src.index[one.payload]) == one_t
-        report.add("preserves_one", ok, None if ok else (one,), checked=1)
-        if rows:  # in the order row 0 of + asks for them
-            for i in range(len(elems)):
-                image(i)
-        for name, table, op in (("additive", "add", add), ("multiplicative", "mul", mul)):
-            bad = first_bad(getattr(src, table), dst and getattr(dst, table), op)
-            report.add(name, bad is None, bad, checked=len(elems) ** 2)
+        report.add("preserves_zero", ok, None if ok else (RingValue(desc, payloads[0]),), checked=1)
+        rows = decide = ok
+        ok = image(one) == one_t
+        report.add("preserves_one", ok, None if ok else (RingValue(desc, payloads[one]),), checked=1)
+        decide = decide and ok
+        if rows and dst is not None:
+            image_all()
+        # a source past the cell bound is refused before its equations, the
+        # index path's images computed first, as when the tables were built whole
+        check_cells(str(desc), n)
+        if decide:
+            image_all()
+            gens = [one, *map(src.index.__getitem__, desc.generators())]
+        rows = rows and (dst is not None or decide)  # every image is computed
+        for name, op, over in (("additive", "add", range(n)), ("multiplicative", "mul", decide and gens)):
+            bad = None if decide and holds(op, over) else first_bad(op)
+            decide = decide and bad is None  # * is decided on G only once + holds
+            witness = None if bad is None else tuple(RingValue(desc, payloads[i]) for i in bad)
+            report.add(name, bad is None, witness, checked=n * n)
     except TableIncomplete as exc:
         report.add("table_covers_source", False, (str(exc),))
     except DescriptorMismatch as exc:  # a table entry whose image lies outside the target

@@ -25,7 +25,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meadows import rings
+from meadows import cli, rings
 from meadows.lattice import DirectedLattice, Lattice, dl_validate, node_key
 from meadows.latfile import lattice_from_dict
 from meadows.report import ValidationReport
@@ -318,3 +318,20 @@ def test_tables_out_of_the_integers(n, entries):
     hom = rings.table_hom(rings.Z, zn, entries.items())
     assert not hom.rule.proves(hom)
     assert_both_reject(corpus.chain(rings.Z, hom, zn))
+
+
+def test_a_load_builds_one_finite_tables_per_distinct_finite_ring(monkeypatch, tmp_path):
+    # table edges between products, with the same rings on many nodes
+    built = []
+    real = rings.FiniteTables.__init__
+
+    def counting(self, desc):
+        built.append(desc)
+        real(self, desc)
+
+    monkeypatch.setattr(rings.FiniteTables, "__init__", counting)
+    path = tmp_path / "product_diamond_chain.json"
+    path.write_text(json.dumps(gen.product(gen.CORPUS["z6_split"], gen.CORPUS["chain_z4_z2"])))
+    m = cli._load_meadow(path)
+    m.freeze_tables().add  # the carrier index reads the lattice's tables too
+    assert len(built) == len(set(built)) == len(set(m.dl.ring_at.values())) == 11

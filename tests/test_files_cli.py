@@ -134,7 +134,14 @@ def test_cli_invalid_file_reports_validation_failure(tmp_path, capsys):
     report = exc.value.report
     assert payload["detail"] == report.summary()
     assert payload["checks"] == [
-        {"name": c.name, "status": "pass" if c.passed else "fail"} for c in report.checks
+        {
+            "name": c.name,
+            "status": "pass" if c.passed else "fail",
+            "witness": None if c.witness is None else [str(v) for v in c.witness],
+            "checked": c.checked,
+            "sampled": c.sampled,
+        }
+        for c in report.checks
     ]
 
 
@@ -314,6 +321,68 @@ def _lattice(top_ring, lower_ring=None, hom=None):
         data["order"] = [["a", "m"], ["m", "t"]]
         data["homs"] = [hom]
     return data
+
+
+# Z4 -> Z2 by a table that is not additive: 1 + 1 = 2 -> 1, but 1 + 1 = 0 in Z2
+NOT_ADDITIVE = _lattice(
+    {"mod": 4}, {"mod": 2}, {"from": "t", "to": "m", "map": {"table": [[0, 0], [1, 1], [2, 1], [3, 0]]}}
+)
+# Z2 x Z2 -> Z2 by (x, y) -> xy, multiplicative but not additive
+PRODUCT_OF_COORDINATES = _lattice(
+    {"product": [{"mod": 2}, {"mod": 2}]},
+    {"mod": 2},
+    {"from": "t", "to": "m", "map": {"table": [[[x, y], x * y] for x in (0, 1) for y in (0, 1)]}},
+)
+# Z -> Z2 by a table of three integers: 1 + 1 has no entry
+INTEGER_TABLE = _lattice("Z", {"mod": 2}, {"from": "t", "to": "m", "map": {"table": [[0, 0], [1, 1], [-1, 1]]}})
+
+
+@pytest.mark.parametrize(
+    "data, summary",
+    [
+        (NOT_ADDITIVE, "directed lattice: FAILED edge(t->m).additive; witness (1, 1) (2 of 15 checks failed)"),
+        (
+            PRODUCT_OF_COORDINATES,
+            "directed lattice: FAILED edge(t->m).additive; witness ((0, 1), (1, 0)) (1 of 15 checks failed)",
+        ),
+        (
+            INTEGER_TABLE,
+            "directed lattice: FAILED edge(t->m).table_covers_source; witness (no table entry for 2) (1 of 14 checks failed)",
+        ),
+    ],
+    ids=["residues", "product", "integers"],
+)
+def test_a_failing_load_names_its_witness_in_the_file_syntax(tmp_path, capsys, data, summary):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["eval", str(path), "1/2"]) == 1
+    assert capsys.readouterr().err == f"error: ValidationFailed: {summary}\n"
+
+
+def test_a_failing_load_gives_each_check_its_witness_count_and_sampling_in_json(tmp_path, capsys):
+    checks = {}
+    for name, data in (("residues", NOT_ADDITIVE), ("integers", INTEGER_TABLE)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert main(["--json", "eval", str(path), "1/2"]) == 1
+        checks[name] = {c.pop("name"): c for c in json.loads(capsys.readouterr().err)["checks"]}
+    residues, integers = checks["residues"], checks["integers"]
+    assert residues["edge(t->m).additive"] == {"status": "fail", "witness": ["1", "1"], "checked": 16, "sampled": False}
+    assert residues["edge(t->m).multiplicative"] == {
+        "status": "fail",
+        "witness": ["2", "2"],
+        "checked": 16,
+        "sampled": False,
+    }
+    assert residues["edge(t->m).preserves_one"] == {"status": "pass", "witness": None, "checked": 1, "sampled": False}
+    assert residues["unique_top"] == {"status": "pass", "witness": ["t"], "checked": 0, "sampled": False}
+    assert integers["edge(m->a).additive"] == {"status": "pass", "witness": None, "checked": 4, "sampled": False}
+    assert integers["edge(t->m).table_covers_source"] == {
+        "status": "fail",
+        "witness": ["no table entry for 2"],
+        "checked": 0,
+        "sampled": False,
+    }
 
 
 MALFORMED_LATTICES = {
@@ -586,6 +655,19 @@ def test_cli_json_refuses_a_quotient_table_past_the_cell_bound_before_building_i
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {
+        "error": "RingTooLarge",
+        "detail": "Z2049 has 2049 elements: its tables would have 4198401 cells, more than the 4194304 that are built",
+    }
+
+
+def test_a_table_hom_out_of_a_ring_past_the_cell_bound_is_refused_when_loaded(tmp_path, capsys):
+    # the hom is checked on additive generators, which needs no table, but the
+    # file is refused as it was when the check built the source's tables
+    path = tmp_path / "z2049.json"
+    table = {"table": [[k, k % 3] for k in range(2049)]}
+    path.write_text(json.dumps(_lattice({"mod": 2049}, {"mod": 3}, {"from": "t", "to": "m", "map": table})))
+    assert main(["--json", "eval", str(path), "1"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
         "error": "RingTooLarge",
         "detail": "Z2049 has 2049 elements: its tables would have 4198401 cells, more than the 4194304 that are built",
     }

@@ -289,7 +289,7 @@ def test_multiplicativity_witness_matches_reference():
     assert message.startswith("ring map at 'top' fails: ") and "multiplicative" in message
 
 
-def passing_report(h):
+def passing_report(h, tables=None):
     return ValidationReport(subject=str(h))
 
 

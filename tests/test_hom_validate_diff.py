@@ -5,17 +5,24 @@ with the ring operations on values and each image memoised by value, and
 an infinite source on the fixed sample of ``_validation_inputs``.  The two
 must give equal reports, check by check (name, passed, witness, checked,
 sampled), on every edge hom and transition of the corpus and the shipped
-lattice files, on every ring hom between small finite rings, and on homs
-whose tables are broken on purpose.
+lattice files, on every ring hom between small finite rings, on homs
+whose tables are broken on purpose, and on hypothesis-drawn maps between
+small finite rings (nested products and the zero ring among them): ring
+homs with entries changed, dropped or sent outside the target, and
+additive maps that are not multiplicative.  These guard ``hom_validate``'s
+decision of + and * on additive generators, and the pairwise scan that
+names the first witness when the decision fails.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meadows import rings
 from meadows.enumeration import enumerate_ring_homs
@@ -200,3 +207,80 @@ def test_mutated_reports_name_the_first_missing_input():
     assert square.checks[2].witness == (v(Z3, 1), v(Z3, 1))
     linear = rings.hom_validate(MUTATED["multiplicative_fails_only"])
     assert [(c.name, c.passed) for c in linear.checks][2:] == [("additive", True), ("multiplicative", False)]
+
+
+# -- hypothesis-drawn maps between small finite rings -------------------------
+
+RESIDUES = st.sampled_from([rings.Mod(n) for n in range(2, 7)])
+NONZERO = st.recursive(
+    RESIDUES,
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(lambda fs: rings.Product(tuple(fs))),
+    max_leaves=4,
+).filter(lambda d: rings.ring_size(d) <= 36)
+FINITE = st.integers(0, 9).flatmap(lambda k: st.just(rings.ZERO) if k == 9 else NONZERO)  # the zero ring now and then
+FOREIGN = rings.Mod(7)  # no drawn ring is Z7, so its values lie outside every target
+
+
+@st.composite
+def changed_tables(draw):
+    """A table between two drawn rings: a ring hom between them when there is
+    one (else a drawn map), with some entries changed, dropped, or sent to a
+    value of another ring."""
+    src, dst = draw(FINITE), draw(FINITE)
+    inputs, targets = rings.enumerate_ring(src), rings.enumerate_ring(dst)
+    homs = enumerate_ring_homs(src, dst)
+    if homs and draw(st.booleans()):
+        h = draw(st.sampled_from(homs))
+        images = [rings.hom_apply(h, x) for x in inputs]
+    else:
+        images = [draw(st.sampled_from(targets)) for _ in inputs]
+    at = st.integers(0, len(inputs) - 1)
+    for k in draw(st.lists(at, max_size=2)):
+        images[k] = draw(st.sampled_from(targets))
+    for k in draw(st.lists(at, max_size=1)):
+        images[k] = v(FOREIGN, k)
+    for k in sorted(set(draw(st.lists(at, max_size=1))), reverse=True):
+        del inputs[k], images[k]
+    return rings.RingHom(src, dst, rings.TableRule(tuple(zip(inputs, images))))
+
+
+@st.composite
+def additive_maps(draw):
+    """x -> kx on a drawn ring, or, out of a product of residue rings, the
+    additive map that sends each idempotent e_i to u_i (n_i u_i = 0) with
+    the u_i summing to 1, so that 1 -> 1: multiplicative only when the u_i
+    are orthogonal idempotents."""
+    if draw(st.booleans()):
+        ring = draw(FINITE)
+        k = draw(st.sampled_from(rings.enumerate_ring(ring)))
+        return rings.table_hom(ring, ring, [(x, rings.mul(k, x)) for x in rings.enumerate_ring(ring)])
+    src = rings.Product(tuple(draw(st.lists(RESIDUES, min_size=2, max_size=3))))
+    dst = draw(FINITE)
+    zero = rings.from_int(dst, 0)
+
+    def order_divides(n, u):  # e_i has additive order n_i, so u_i's must divide it
+        return rings.mul(rings.from_int(dst, n), u) == zero
+
+    targets = rings.enumerate_ring(dst)
+    u = [draw(st.sampled_from([t for t in targets if order_divides(f.n, t)])) for f in src.factors[1:]]
+    # the first u_i makes the sum 1; when its order does not divide n_1 the map is not additive
+    u.insert(0, rings.sub(rings.one_value(dst), functools.reduce(rings.add, u)))
+    graph = []
+    for x in rings.enumerate_ring(src):
+        image = rings.from_int(dst, 0)
+        for xi, ui in zip(x.payload, u):
+            image = rings.add(image, rings.mul(rings.from_int(dst, xi), ui))
+        graph.append((x, image))
+    return rings.table_hom(src, dst, graph)
+
+
+@settings(max_examples=150, deadline=None)
+@given(changed_tables())
+def test_changed_tables_between_small_finite_rings_match_the_reference(h):
+    assert_same_report(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(additive_maps())
+def test_additive_maps_match_the_reference(h):
+    assert_same_report(h)

@@ -238,6 +238,7 @@ def assert_tables_match(desc):
     t = rings.FiniteTables(desc)
     elems, index, add, mul = brute_force_tables(desc)
     assert (t.elements, t.index, t.add, t.mul) == (elems, index, add, mul)
+    assert [t.row("add", i) for i in range(len(elems))] == add and [t.row("mul", i) for i in range(len(elems))] == mul
     assert t.payloads == [x.payload for x in elems] and t.payloads[0] == desc.from_int(0)
     assert t.neg == [index[rings.neg(x).payload] for x in elems]
     assert t.inverse == [index[rings.unit_inverse(x).payload] if rings.is_unit(x) else None for x in elems]
@@ -573,7 +574,10 @@ def test_table_rule_is_its_graph_and_the_compiled_map_reads_it():
     a = rings.table_hom(Z2, Z2, [(0, 0), (1, 1)])
     b = rings.table_hom(Z2, Z2, [(1, 1), (0, 0)])
     assert a == b and hash(a) == hash(b) and repr(a.rule) == repr(b.rule)
-    assert [f.name for f in dataclasses.fields(a.rule)] == ["graph"]
+    # it holds canonical payload pairs of its two rings, and its graph is built from them
+    assert [f.name for f in dataclasses.fields(a.rule)] == ["entries", "ends"]
+    assert a.rule.entries == ((0, 0), (1, 1)) and a.rule.ends == (Z2, Z2)
+    assert a.rule == rings.TableRule(a.rule.graph) and repr(a.rule) == f"TableRule(graph={a.rule.graph!r})"
     assert [(x, rings.hom_apply(a, x)) for x, _ in a.rule.graph] == list(a.rule.graph)
 
 
@@ -655,17 +659,18 @@ def test_hom_validate_reports_of_the_table_cases():
     assert early.checks[2].witness == (v(Z3, 0), v(Z3, 0))
 
 
-def test_hom_validate_applies_the_hom_once_per_input(monkeypatch):
-    calls = []
-    real = rings.hom_apply
+def test_hom_validate_applies_the_hom_once_per_input():
+    # images as target indices (Z3 is no larger than Z6), and as target payloads (Z2 x Z2 is larger than Z2)
+    for h in (rings.mod_to_mod(6, 3), rings.pair_hom([rings.identity_hom(Z2), rings.identity_hom(Z2)])):
+        calls, real = [], h.fn
 
-    def counting(h, x):
-        calls.append(x)
-        return real(h, x)
+        def counting(p, calls=calls, real=real):
+            calls.append(p)
+            return real(p)
 
-    monkeypatch.setattr(rings, "hom_apply", counting)
-    assert rings.hom_validate(rings.mod_to_mod(6, 3)).ok
-    assert sorted(x.payload for x in calls) == list(range(6))
+        object.__setattr__(h, "fn", counting)  # the compiled map hom_validate applies
+        assert rings.hom_validate(h).ok
+        assert sorted(calls) == [x.payload for x in rings.enumerate_ring(h.source)]
 
 
 # -- homs proved by their rule, and generators ------------------------------------
