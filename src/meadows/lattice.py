@@ -378,7 +378,7 @@ class NodeProbes:
 
     def inputs(self) -> list:
         if self.desc.finite:
-            return [x.payload for x in rings.enumerate_ring(self.desc)]
+            return rings._listed(self.desc)
         elems, _ = rings._validation_inputs(self.desc)
         return [x.payload for x in elems]
 

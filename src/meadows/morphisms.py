@@ -123,9 +123,8 @@ def hom_build(src: PreMeadow, dst: PreMeadow, lattice_map: dict, ring_maps: dict
                 raise UnitNotPreserved(f"ring map at {z!r} does not fix 1")
             raise NotAHomomorphism(f"ring map at {z!r} fails: {sub.summary()}")
 
-    exact = src.dl.validated() and dst.dl.validated() and checked_exactly(
-        [ring_maps[z] for z in L.nodes] + [d.edge_homs[c] for d in (src.dl, dst.dl) for c in d.lattice.covers()]
-    )
+    # ``_exact`` is recorded only with a passing ``dl_validate`` report
+    exact = src.dl._exact and dst.dl._exact and checked_exactly(ring_maps[z] for z in L.nodes)
     for z in L.nodes:
         node = NodeProbes(src.dl.ring_at[z], exact)
         if not node.probes:  # exact data and a ring without generators

@@ -738,7 +738,8 @@ class HomRule:
     by the factories (``project``, ``pair_hom``, ``compose_homs``), and a
     directed lattice checks each edge against its nodes' rings before it
     composes a transition through it; a hand-built rule is taken as given,
-    except that ``Identity`` refuses two different rings.  ``injective(h)``
+    except that ``Identity`` refuses two different rings and ``TableRule``
+    any rings but its ``ends``.  ``injective(h)``
     decides injectivity on an infinite source from the rule's structure, as
     ``hom_injective`` reports it.  ``proves(h)`` is True when ``h``'s
     endpoints type-check for the rule, which makes ``h`` a ring hom
@@ -912,22 +913,19 @@ class TableRule(HomRule):
     """A hom given by its graph, the first entry for an input winning.
 
     ``entries`` are canonical (input, image) payload pairs of ``ends``, the
-    (source, target) of ``table_hom`` or a lattice file; ``TableRule(graph)``
-    keeps a graph of ``RingValue`` pairs as given, ``ends`` None, and its map
-    skips inputs outside the hom's source.  The compiled map is one dict
-    read: an input with no entry raises ``TableIncomplete``, one whose image
-    lies outside the target ``DescriptorMismatch``.  The rule compares,
-    hashes and prints as ``graph``, its ``RingValue`` pairs sorted by the
-    repr of each input (stably), built when first read.
+    (source, target) of ``table_hom`` or a lattice file; a hom between other
+    rings is refused when it is built, with ``DescriptorMismatch``.  The
+    compiled map is one dict read, and an input with no entry raises
+    ``TableIncomplete``.  The rule compares, hashes and prints as ``graph``,
+    its ``RingValue`` pairs sorted by the repr of each input (stably), built
+    when first read.
     """
 
     entries: tuple
-    ends: tuple | None = None
+    ends: tuple
 
     @functools.cached_property
     def graph(self) -> tuple[tuple[RingValue, RingValue], ...]:
-        if self.ends is None:
-            return tuple(self.entries)
         source, target = self.ends
         pairs = ((RingValue(source, i), RingValue(target, o)) for i, o in self.entries)
         # every input lies in source, so its repr is a shared prefix, the payload's repr and ")"
@@ -943,27 +941,15 @@ class TableRule(HomRule):
         return f"TableRule(graph={self.graph!r})"
 
     def compile(self, h):
-        source, target, show = h.source, h.target, h.source.format
-        strays: dict = {}  # input payload -> why its image is refused
-        if self.ends == (source, target):
-            images = dict(reversed(self.entries))  # the first entry for an input wins
-        else:
-            images = {}
-            for vin, vout in self.graph:
-                p = vin.payload
-                if vin.ring != source or p in images or p in strays:
-                    continue
-                if vout.ring == target:
-                    images[p] = vout.payload
-                else:
-                    strays[p] = f"the image {vout} of {show(p)} lies in {vout.ring}, not in {target}"
+        source, target = self.ends
+        if (source, target) != (h.source, h.target):
+            raise DescriptorMismatch(f"a table of {source} -> {target} is not a map {h.source} -> {h.target}")
+        images, show = dict(reversed(self.entries)), h.source.format  # the first entry for an input wins
 
         def look_up(p):
             try:
                 return images[p]
             except KeyError:
-                if p in strays:
-                    raise DescriptorMismatch(strays[p]) from None
                 raise TableIncomplete(f"no table entry for {show(p)}") from None
 
         return look_up
@@ -1062,8 +1048,8 @@ def constant_embed(poly: Poly) -> RingHom:
 
 
 def project(prod: Product, index: int) -> RingHom:
-    if not 0 <= index < len(prod.factors):
-        raise ValueError(f"no factor {index} in {prod}")
+    if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < len(prod.factors):
+        raise ValueError(f"no factor {index!r} in {prod}")
     return RingHom(prod, prod.factors[index], Project(index))
 
 
@@ -1169,9 +1155,8 @@ def hom_validate(h: RingHom, tables: Callable = FiniteTables) -> ValidationRepor
     Once 0 and 1 are preserved, + and * are decided on additive generators
     (``_validate_on_index``).  An infinite source is probed with the fixed
     sample of ``_validation_inputs`` (``SAMPLE_SIZE`` random elements and
-    pairs), element by element.  A table that misses an input, or maps one
-    outside the target, ends the report with a failed
-    ``table_covers_source`` or ``images_in_target`` check.
+    pairs), element by element.  A table that misses an input ends the
+    report with a failed ``table_covers_source`` check.
     """
     if is_finite(h.source):
         src = tables(h.source)
@@ -1202,8 +1187,6 @@ def hom_validate(h: RingHom, tables: Callable = FiniteTables) -> ValidationRepor
             report.add(name, bad is None, bad, checked=len(pairs), sampled=True)
     except TableIncomplete as exc:
         report.add("table_covers_source", False, (str(exc),))
-    except DescriptorMismatch as exc:  # a table entry whose image lies outside the target
-        report.add("images_in_target", False, (str(exc),))
     return report
 
 
@@ -1213,13 +1196,14 @@ _UNSET = object()  # an image not computed yet
 def _validate_on_index(h: RingHom, src: FiniteTables, dst: FiniteTables | None) -> ValidationReport:
     """hom_validate on a finite source, pairs in ``itertools.product`` order.
 
-    Images are indices into ``dst`` when it is given (an image outside it
-    raises ``_OffTarget``), else target payloads combined by the target's
-    ``add``/``mul``.  The map ``h.fn`` is applied once per input, on first
-    use, in the order the pair-by-pair check asks for images, so a missing
-    table entry fails at the same pair.  Once zero is preserved, row 0 of +
-    (0 + x = x) asks for every image in index order, so they are all
-    computed then.
+    Images are indices into ``dst`` when it is given, else target payloads
+    combined by the target's ``add``/``mul``.  An image outside ``dst``
+    raises ``_OffTarget``; only a structural rule mis-typed for its target,
+    such as a ``Project`` onto another ring, gives one.  The map ``h.fn`` is
+    applied once per input, on first use, in the order the pair-by-pair
+    check asks for images, so a missing table entry fails at the same pair.
+    Once zero is preserved, row 0 of + (0 + x = x) asks for every image in
+    index order, so they are all computed then.
 
     Once 0 and 1 are also preserved, each equation is decided on
     G = {1} + ``generators()``, which generates the additive group of every
@@ -1324,8 +1308,6 @@ def _validate_on_index(h: RingHom, src: FiniteTables, dst: FiniteTables | None) 
             report.add(name, bad is None, witness, checked=n * n)
     except TableIncomplete as exc:
         report.add("table_covers_source", False, (str(exc),))
-    except DescriptorMismatch as exc:  # a table entry whose image lies outside the target
-        report.add("images_in_target", False, (str(exc),))
     return report
 
 

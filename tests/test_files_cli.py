@@ -715,6 +715,27 @@ def test_cli_json_reports_an_nz_that_is_not_a_positive_integer_as_one_parse_erro
     assert json.loads(lines[0])["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("index", [True, 1.0, "1"], ids=["boolean", "float", "string"])
+def test_cli_json_reports_a_project_index_that_is_not_an_integer_as_one_parse_error(index, tmp_path):
+    # true once passed as factor 1, and 1.0 reached the compiled map
+    data = {
+        "nodes": {"t": {"ring": {"product": [{"mod": 2}, {"mod": 3}]}}, "m": {"ring": {"mod": 3}}, "a": {"ring": "zero"}},
+        "order": [["a", "m"], ["m", "t"]],
+        "homs": [{"from": "t", "to": "m", "map": {"project": index}}],
+    }
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(data))
+    proc, _seconds = _run_limited(["eval", str(path), "1 + 1"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ParseError",
+        "detail": f"malformed lattice file: ValueError: no factor {index!r} in (Z2 x Z3)",
+    }
+
+
 def test_cli_json_reports_an_ideal_file_naming_an_unknown_node(tmp_path, capsys):
     ideal = tmp_path / "ideal.json"
     ideal.write_text(json.dumps({"z6": {"subset": [0, 3]}, "zz": "whole", "a": "whole"}))

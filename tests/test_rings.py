@@ -548,7 +548,7 @@ def test_table_duplicate_inputs_first_sorted_entry_wins():
     h = rings.table_hom(Z3, Z3, [(1, 2), (0, 0), (1, 1), (2, 1)])
     assert [(i.payload, o.payload) for i, o in h.rule.graph][:3] == [(0, 0), (1, 2), (1, 1)]
     assert rings.hom_apply(h, v(Z3, 1)) == v(Z3, 2) == scan_apply(h, v(Z3, 1))
-    unsorted = rings.RingHom(Z2, Z2, rings.TableRule(((v(Z2, 1), v(Z2, 0)), (v(Z2, 1), v(Z2, 1)))))
+    unsorted = rings.table_hom(Z2, Z2, [(1, 0), (1, 1)])
     assert rings.hom_apply(unsorted, v(Z2, 1)) == v(Z2, 0)
 
 
@@ -574,10 +574,12 @@ def test_table_rule_is_its_graph_and_the_compiled_map_reads_it():
     a = rings.table_hom(Z2, Z2, [(0, 0), (1, 1)])
     b = rings.table_hom(Z2, Z2, [(1, 1), (0, 0)])
     assert a == b and hash(a) == hash(b) and repr(a.rule) == repr(b.rule)
-    # it holds canonical payload pairs of its two rings, and its graph is built from them
+    # it holds canonical payload pairs of its two rings, both required, and its graph is built from them
     assert [f.name for f in dataclasses.fields(a.rule)] == ["entries", "ends"]
     assert a.rule.entries == ((0, 0), (1, 1)) and a.rule.ends == (Z2, Z2)
-    assert a.rule == rings.TableRule(a.rule.graph) and repr(a.rule) == f"TableRule(graph={a.rule.graph!r})"
+    with pytest.raises(TypeError):
+        rings.TableRule(a.rule.entries)
+    assert a.rule == rings.TableRule(b.rule.entries, (Z2, Z2)) and repr(a.rule) == f"TableRule(graph={a.rule.graph!r})"
     assert [(x, rings.hom_apply(a, x)) for x, _ in a.rule.graph] == list(a.rule.graph)
 
 
@@ -590,14 +592,30 @@ def test_ring_hom_equality_hash_and_repr_ignore_the_compiled_map():
     assert "fn" not in repr(a)
 
 
-def test_table_refuses_an_image_outside_its_target_and_ignores_foreign_inputs():
-    graph = ((v(Z3, 0), v(Z3, 0)), (v(Z3, 1), v(Z6, 1)), (v(Z6, 2), v(Z3, 2)))
-    h = rings.RingHom(Z3, Z3, rings.TableRule(graph))
-    assert rings.hom_apply(h, v(Z3, 0)) == v(Z3, 0)
-    with pytest.raises(DescriptorMismatch, match="^the image 1 of 1 lies in Z6, not in Z3$"):
-        rings.hom_apply(h, v(Z3, 1))
-    with pytest.raises(TableIncomplete, match="^no table entry for 2$"):
-        rings.hom_apply(h, v(Z3, 2))
+OTHER_RING_TABLES = {
+    "image_of_another_ring": (
+        lambda: rings.table_hom(Z3, Z3, [(0, 0), (1, v(Z6, 1))]),
+        "^1 is not in Z3$",
+    ),
+    "input_of_another_ring": (
+        lambda: rings.table_hom(Z3, Z3, [(0, 0), (v(Z6, 2), 2)]),
+        "^2 is not in Z3$",
+    ),
+    "rule_of_another_source": (
+        lambda: rings.RingHom(Z6, Z3, rings.table_hom(Z3, Z3, [(0, 0), (1, 1), (2, 2)]).rule),
+        "^a table of Z3 -> Z3 is not a map Z6 -> Z3$",
+    ),
+    "rule_of_another_target": (
+        lambda: rings.RingHom(Z3, Z6, rings.table_hom(Z3, Z3, [(0, 0), (1, 1), (2, 2)]).rule),
+        "^a table of Z3 -> Z3 is not a map Z3 -> Z6$",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", OTHER_RING_TABLES.values(), ids=OTHER_RING_TABLES.keys())
+def test_a_table_of_other_rings_is_refused_when_built(build, message):
+    with pytest.raises(DescriptorMismatch, match=message):
+        build()
 
 
 def test_a_hand_built_identity_between_two_rings_is_refused_when_built():
