@@ -31,7 +31,6 @@ from .terms import (
     Sub,
     Term,
     Var,
-    _power,
     eval_term,
     parse,
 )
@@ -52,8 +51,7 @@ def _variables(t: Term) -> set[str]:
     if isinstance(t, Var):
         return {t.name}
     out: set[str] = set()
-    for f in getattr(t, "__dataclass_fields__", {}):
-        v = getattr(t, f)
+    for v in t:  # a node is the tuple of its fields
         if isinstance(v, Term):
             out |= _variables(v)
     return out
@@ -64,11 +62,7 @@ def _uses_inverse(t: Term) -> bool:
         return True
     if isinstance(t, Pow) and t.exponent < 0:
         return True
-    for f in getattr(t, "__dataclass_fields__", {}):
-        v = getattr(t, f)
-        if isinstance(v, Term) and _uses_inverse(v):
-            return True
-    return False
+    return any(isinstance(v, Term) and _uses_inverse(v) for v in t)
 
 
 def _split_equation(text: str) -> tuple[Term, Term, bool]:
@@ -280,7 +274,7 @@ def _scan(laws: tuple[Law, ...], m: PreMeadow, ix, nested: bool = False):
         if c not in located:
             located[c] = ix.key(eval_term(c, m))
         args[f"c{k}"] = located[c]
-    return make_scan(element=ix.element, power=_power, **args)
+    return make_scan(element=ix.element, power=rings._power, **args)
 
 
 def _choices(rng, pool, count: int):

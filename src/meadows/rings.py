@@ -18,6 +18,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -43,8 +44,9 @@ class RingDescriptor:
     them (no payload holds a ``RingValue``; a product's is a tuple of its
     factors' payloads): ``canon`` (raw input to canonical payload),
     ``to_raw`` (its inverse, JSON-ready), ``from_int``, ``add``, ``mul``,
-    ``neg``, ``is_unit``, ``inverse`` (of a unit), ``characteristic`` (None
-    for characteristic zero), ``random`` and ``format``.  A finite ring sets
+    ``neg``, ``power`` (to an exponent n >= 1), ``is_unit``, ``inverse`` (of
+    a unit), ``characteristic`` (None for characteristic zero), ``random``
+    and ``format``.  A finite ring sets
     ``finite`` and gives ``size``, ``elements``, ``index_row`` and
     ``index_table`` (a row, and the whole, of the tables of
     ``FiniteTables``, over ``elements`` indices); an infinite
@@ -82,6 +84,9 @@ class RingDescriptor:
     def characteristic(self):
         return None
 
+    def power(self, a, n: int):
+        return _power(self.mul, a, n)
+
     def index_table(self, name: str) -> list[list[int]]:
         """The whole ``add`` or ``mul`` table of a finite ring, row by row."""
         return [self.index_row(name, i) for i in range(self.size())]
@@ -104,6 +109,12 @@ class _Number(RingDescriptor):
 
     def neg(self, a):
         return -a
+
+    def power(self, a, n):
+        # |a|^n >= 2^(n·(bit_length - 1)), for Q's numerator and denominator alike
+        bits = n * (max(a.numerator.bit_length(), a.denominator.bit_length()) - 1)
+        _refuse_past_print_limit(self, bits, "bit length")
+        return a**n
 
 
 @dataclass(frozen=True)
@@ -197,6 +208,9 @@ class Mod(RingDescriptor):
     def neg(self, a):
         return (-a) % self.n
 
+    def power(self, a, n):
+        return pow(a, n, self.n)
+
     def is_unit(self, a):
         return math.gcd(a, self.n) == 1
 
@@ -272,6 +286,11 @@ class Poly(RingDescriptor):
 
     def neg(self, a):
         return tuple(self.base.neg(c) for c in a)
+
+    def power(self, a, n):
+        # field coefficients: the degree of a^n is n times a's
+        _refuse_past_print_limit(self, n * (len(a) - 1), "degree")
+        return super().power(a, n)
 
     def is_unit(self, a):
         # field coefficients, so units are exactly the nonzero constants
@@ -349,6 +368,9 @@ class Product(RingDescriptor):
 
     def neg(self, a):
         return tuple(f.neg(x) for f, x in zip(self.factors, a))
+
+    def power(self, a, n):
+        return tuple(f.power(x, n) for f, x in zip(self.factors, a))
 
     def is_unit(self, a):
         return all(f.is_unit(x) for f, x in zip(self.factors, a))
@@ -463,6 +485,37 @@ ENUMERATION_LIMIT = 2**20
 
 #: the most cells an add or mul table may have (a table stays well under 1 GB)
 TABLE_CELL_LIMIT = 2**22
+
+
+def _power(mul, x, n: int):
+    """x multiplied by itself to n >= 1 factors, by square-and-multiply;
+    ``mul`` multiplies two elements, or two payloads of one ring.
+
+    Equal to the left-to-right product because multiplication is
+    associative and commutative (PM5, PM6).
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if not n:
+            return result
+        x = mul(x, x)
+
+
+def _refuse_past_print_limit(desc: RingDescriptor, size: int, what: str) -> None:
+    """Refuse with ``ValueTooLarge``, before it is computed, a value of ``desc``
+    whose ``what`` (``size`` is a lower bound on its bit length less one, or
+    its degree) is past the bit length of the largest integer that Python's
+    int/str digit limit lets print; a limit of 0 (none) counts as the default."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = int(digits * math.log2(10))  # 2^(limit + 1) > 10^digits, the least unprintable int
+    if size > limit:
+        raise ValueTooLarge(
+            f"a value of {desc} would have a {what} over {limit}, past what Python's int/str digit "
+            "limit lets print, and is not computed"
+        )
 
 
 def _is_prime(n: int) -> bool:
@@ -1030,8 +1083,8 @@ def reduce_mod(n: int) -> RingHom:
 
 
 def mod_to_mod(n: int, m: int) -> RingHom:
-    if n % m != 0:
-        raise ValueError(f"{m} does not divide {n}")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 2 or n % m != 0:
+        raise ValueError(f"cannot reduce Z{n} mod {m!r}: the modulus must be an integer >= 2 that divides {n}")
     return RingHom(Mod(n), Mod(m), ReduceModDiv())
 
 

@@ -11,77 +11,81 @@ Integers are runs of decimal digits (any script's); an identifier is a run
 of letters, digits and '_' that starts with a letter or '_'.  A literal
 with more digits than Python converts is a ``TermSyntaxError``.
 The literal 'a' is the error constant and is never a variable.  Numerals
-enter at the top node.  Every well-formed closed term evaluates: division
-never fails, it lands on 'a' instead.
+enter at the top node.  Every well-formed closed term evaluates, with one
+exception: a power whose value would be past what Python's int/str digit
+limit lets print is refused with ``ValueTooLarge`` before it is computed.
+Division never fails: it lands on 'a' instead.
+
+Term nodes are tuples of their fields (``Term``); the evaluator unpacks
+them, and each power is taken by the ring at its base's node
+(``RingDescriptor.power``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import rings
-from .errors import ForeignElement, ReservedIdentifier, TermSyntaxError, UnboundVariable
+from .errors import ForeignElement, ReservedIdentifier, TermSyntaxError, UnboundVariable, ValueTooLarge
 from .meadow import Meadow, MeadowElement, PreMeadow
 
 
-class Term:
+class Term(tuple):
+    """Base of the term nodes: each is an immutable tuple of its ``_fields``,
+    read by name or by unpacking, and equal only to a node of its own class
+    with equal fields.  It hashes as that tuple, so nodes of two classes
+    with equal fields collide but never compare equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):  # tuple's own would compare the fields alone
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+
+class Numeral(Term, namedtuple("Numeral", "n")):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Numeral(Term):
-    n: int
+class ErrorConst(Term, namedtuple("ErrorConst", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ErrorConst(Term):
-    pass
+class Var(Term, namedtuple("Var", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
+class Add(Term, namedtuple("Add", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Add(Term):
-    left: Term
-    right: Term
+class Sub(Term, namedtuple("Sub", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sub(Term):
-    left: Term
-    right: Term
+class Mul(Term, namedtuple("Mul", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(Term):
-    left: Term
-    right: Term
+class Div(Term, namedtuple("Div", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div(Term):
-    left: Term
-    right: Term
+class Neg(Term, namedtuple("Neg", "arg")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg(Term):
-    arg: Term
+class Inv(Term, namedtuple("Inv", "arg")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Inv(Term):
-    arg: Term
-
-
-@dataclass(frozen=True)
-class Pow(Term):
-    base: Term
-    exponent: int
+class Pow(Term, namedtuple("Pow", "base exponent")):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +103,10 @@ MAX_DEPTH = 100
 _TOKEN = re.compile(r"\d+|\w+|\S")
 _ADDITIVE = {"+": Add, "-": Sub}
 _MULTIPLICATIVE = {"*": Mul, "/": Div}
+
+# the parser builds nodes as tuple.__new__(cls, fields), a third of the cost
+# of a call through namedtuple's keyword-taking constructor
+_new = tuple.__new__
 
 
 class _Fail(Exception):
@@ -156,9 +164,9 @@ def _parse_tokens(toks: list) -> Term:
             continue
         c = tok[:1]
         if c.isdecimal():
-            node, depth = Numeral(_integer(tok, i)), 1
+            node, depth = _new(Numeral, (_integer(tok, i),)), 1
         elif c.isalpha() or c == "_":
-            node, depth = (ErrorConst() if tok == "a" else Var(tok)), 1
+            node, depth = (_new(ErrorConst, ()) if tok == "a" else _new(Var, (tok,))), 1
         else:
             raise _Fail("expected a number, variable, 'a' or '('", i)
         i += 1
@@ -170,15 +178,15 @@ def _parse_tokens(toks: list) -> Term:
                     i, sign = i + 1, -1
                 if not toks[i][:1].isdecimal():
                     raise _Fail("expected an integer exponent", i)
-                node, depth = Pow(node, sign * _integer(toks[i], i)), depth + 1
+                node, depth = _new(Pow, (node, sign * _integer(toks[i], i))), depth + 1
                 at, after = i, True  # or right after the exponent's digits
                 i += 1
             for _ in range(negations):
-                node = Neg(node)
+                node = _new(Neg, (node,))
             depth += negations
             if term is not None:
                 cls, left, left_depth = term
-                node, depth = cls(left, node), max(left_depth, depth) + 1
+                node, depth = _new(cls, (left, node)), max(left_depth, depth) + 1
             # one check for the factor and the product: the product is the deeper
             if depth > MAX_DEPTH:
                 raise _too_deep(at, after)
@@ -191,7 +199,7 @@ def _parse_tokens(toks: list) -> Term:
             term = None
             if expr is not None:
                 cls, left, left_depth = expr
-                node, depth = cls(left, node), max(left_depth, depth) + 1
+                node, depth = _new(cls, (left, node)), max(left_depth, depth) + 1
                 if depth > MAX_DEPTH:
                     raise _too_deep(i)
             cls = _ADDITIVE.get(tok)
@@ -221,6 +229,8 @@ def parse(text: str) -> Term:
 # ---------------------------------------------------------------------------
 # evaluation
 
+_ONE = Numeral(1)
+
 
 def bind_env(meadow: PreMeadow, bindings: dict) -> dict[str, MeadowElement]:
     """Validated variable environment over the given structure."""
@@ -235,16 +245,19 @@ def bind_env(meadow: PreMeadow, bindings: dict) -> dict[str, MeadowElement]:
 
 
 def eval_term(t: Term, meadow: PreMeadow, env: dict | None = None) -> MeadowElement:
-    """Total evaluation; unbound variables are the only failure mode.
+    """Total evaluation: an unbound variable, and a power past what can be
+    printed (``ValueTooLarge``, naming the term), are the only failure modes.
 
     The tree is walked on the meadow's (node, payload) pairs; only the
     result, and each operand of an inversion (``Meadow.inverse``), becomes
     a ``MeadowElement``.  A bound variable is checked for membership the
-    first time it is read.
+    first time it is read; the top node, where numerals enter, is looked up
+    at the first numeral.
     """
     env = env or {}
     add, mul, neg = meadow._add, meadow._mul, meadow._neg
     read: dict = {}
+    top = None  # (the top node, its ring's from_int) once a numeral is read
 
     def inverse(pair):
         # through the public inverse: one wrap, and one Meadow.inverse call, per inversion
@@ -252,64 +265,60 @@ def eval_term(t: Term, meadow: PreMeadow, env: dict | None = None) -> MeadowElem
         return y.node, y.value.payload
 
     def walk(t):
+        nonlocal top
         cls = t.__class__
         if cls is Add:
-            return add(walk(t.left), walk(t.right))
+            left, right = t
+            return add(walk(left), walk(right))
         if cls is Mul:
-            return mul(walk(t.left), walk(t.right))
+            left, right = t
+            return mul(walk(left), walk(right))
         if cls is Var:
-            pair = read.get(t.name)
+            (name,) = t
+            pair = read.get(name)
             if pair is None:
-                if t.name not in env:
-                    raise UnboundVariable(f"variable {t.name!r} has no binding")
-                pair = read[t.name] = meadow._pair(env[t.name])
+                if name not in env:
+                    raise UnboundVariable(f"variable {name!r} has no binding")
+                pair = read[name] = meadow._pair(env[name])
             return pair
         if cls is Numeral:
-            return meadow._numeral(t.n)
+            if top is None:
+                k = meadow.lattice.top
+                top = k, meadow.dl.ring_at[k].from_int
+            return top[0], top[1](t[0])
         if cls is Sub:
-            return add(walk(t.left), neg(walk(t.right)))
+            left, right = t
+            return add(walk(left), neg(walk(right)))
         if cls is Div:
-            return mul(walk(t.left), inverse(walk(t.right)))
+            left, right = t
+            return mul(walk(left), inverse(walk(right)))
         if cls is Neg:
-            return neg(walk(t.arg))
+            return neg(walk(t[0]))
         if cls is Inv:
-            return inverse(walk(t.arg))
+            return inverse(walk(t[0]))
         if cls is ErrorConst:
             return meadow.lattice.bottom, rings.TOK
         if cls is Pow:
-            base, n = walk(t.base), t.exponent
+            base, n = t
+            base = walk(base)
             if n == 0:
                 # x^0 keeps the component information: 1 + 0*x
-                return add(meadow._numeral(1), meadow._zero_of(base))
+                return add(walk(_ONE), meadow._zero_of(base))
             if n < 0:
                 base, n = inverse(base), -n
             if n == 1:
                 return base
-            # every factor lies at the base's node k: multiply in its ring, after
-            # the meet the first square asks for (k, or NotALattice on a cycle)
+            # every factor lies at the base's node k: its ring takes the power,
+            # after the meet the first square asks for (k, or NotALattice on a cycle)
             k, p = base
             meadow.lattice.meet(k, k)
-            return k, _power(meadow.dl.ring_at[k].mul, p, n)
+            try:
+                return k, meadow.dl.ring_at[k].power(p, n)
+            except ValueTooLarge as exc:
+                raise ValueTooLarge(f"{exc}: {format_term(t)}") from None
         raise TypeError(f"not a term: {t!r}")
 
     return meadow._wrap(walk(t))
-
-
-def _power(mul, x, n: int):
-    """x multiplied by itself to n >= 1 factors, by square-and-multiply;
-    ``mul`` multiplies two elements, or two payloads of one ring.
-
-    Equal to the left-to-right product because multiplication is
-    associative and commutative (PM5, PM6).
-    """
-    result = None
-    while True:
-        if n & 1:
-            result = x if result is None else mul(result, x)
-        n >>= 1
-        if not n:
-            return result
-        x = mul(x, x)
 
 
 # ---------------------------------------------------------------------------

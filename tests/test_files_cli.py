@@ -577,6 +577,32 @@ def _run_limited(argv):
     return proc, time.perf_counter() - start
 
 
+# powers past the print limit, each refused before its value is computed:
+# the digits and the degree came from one literal, and the exponents from nesting
+HUGE_POWERS = {
+    "integer": ("z.json", ["3^10000000"], "Z", "(3)^10000000"),
+    "rational": ("chain_z_q.json", ["(2/3)^2000000"], "Q", "((2 / 3))^2000000"),
+    "polynomial": ("glue_zp_towers.json", ["x^1000000", "--bind", "x=[1,1]@px"], "Z3[x]", "(x)^1000000"),
+    "nested": ("z.json", ["((3^99)^99)^99"], "Z", "((3)^99)^99"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_POWERS))
+def test_cli_json_refuses_a_power_past_the_print_limit_before_computing_it(name):
+    lattice, args, ring, term = HUGE_POWERS[name]
+    proc, seconds = _run_limited(["eval", f"lattices/{lattice}", *args])
+    assert seconds < 1
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ValueTooLarge"
+    assert error["detail"].startswith(f"a value of {ring} ")
+    assert error["detail"].endswith(f": {term}")
+
+
 def _one_node_file(tmp_path, name, ring):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({"nodes": {"t": {"ring": ring}, "a": {"ring": "zero"}}, "order": [["a", "t"]]}))
@@ -733,6 +759,28 @@ def test_cli_json_reports_a_project_index_that_is_not_an_integer_as_one_parse_er
     assert json.loads(lines[0]) == {
         "error": "ParseError",
         "detail": f"malformed lattice file: ValueError: no factor {index!r} in (Z2 x Z3)",
+    }
+
+
+@pytest.mark.parametrize("modulus", [0, 1, 3, 2.0, True, "2"], ids=["zero", "one", "non_divisor", "float", "boolean", "string"])
+def test_cli_json_reports_a_reduce_mod_that_does_not_divide_its_source_as_one_parse_error(modulus, tmp_path):
+    # 0 once ended in a ZeroDivisionError traceback, and 2.0 passed the divisibility check
+    data = {
+        "nodes": {"t": {"ring": {"mod": 4}}, "m": {"ring": {"mod": 2}}, "a": {"ring": "zero"}},
+        "order": [["a", "m"], ["m", "t"]],
+        "homs": [{"from": "t", "to": "m", "map": {"reduce_mod": modulus}}],
+    }
+    path = tmp_path / "reduce_mod.json"
+    path.write_text(json.dumps(data))
+    proc, _seconds = _run_limited(["eval", str(path), "1 + 1"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ParseError",
+        "detail": f"malformed lattice file: ValueError: cannot reduce Z4 mod {modulus!r}: "
+        "the modulus must be an integer >= 2 that divides 4",
     }
 
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -324,6 +325,19 @@ def test_payloads_are_raw_at_every_depth(desc, seed):
         assert not _holds_a_ring_value(p), (desc, p)
     for p in payloads:
         assert desc.canon(desc.to_raw(p)) == p, (desc, p)
+
+
+@settings(deadline=None)
+@given(_small_descriptors(), st.integers(0, 2**32), st.integers(1, 24))
+def test_power_equals_repeated_multiplication(desc, seed, n):
+    rng = random.Random(seed)
+    for a in [desc.random(rng), desc.from_int(-1), desc.from_int(2), *desc.generators()]:
+        want = a
+        for _ in range(n - 1):
+            want = desc.mul(want, a)
+        got = desc.power(a, n)
+        assert got == want, (desc, a, n)
+        assert desc.canon(desc.to_raw(got)) == got, (desc, a, n)
 
 
 def test_finite_tables_refuse_infinite_rings():
@@ -800,6 +814,61 @@ def test_enumeration_refuses_a_ring_too_large_to_list():
     # a finite factor of an infinite product is listed only under the same limit
     with pytest.raises(RingTooLarge, match=re.escape(str(rings.Mod(2**20 + 1)))):
         rings.sample_pool(rings.Product((rings.Mod(2**20 + 1), rings.Z)))
+
+
+def _printable(x) -> bool:
+    try:
+        str(x)
+    except ValueError:  # past the int/str digit limit
+        return False
+    return True
+
+
+def test_a_power_is_refused_only_when_it_could_not_be_printed():
+    # 2^n has n + 1 bits, so for a base of one bit (2, -2, 1/2) the bound is
+    # exact: refused exactly when printing would fail; for other bases a
+    # refused power is one that could not be printed
+    centre = sys.get_int_max_str_digits() * 10 // 3  # a little past the limit's bit length
+    exact = [(rings.Z, 2), (rings.Z, -2), (rings.Q, Fraction(1, 2))]
+    sound = [(rings.Z, 3), (rings.Q, Fraction(-3, 2)), (rings.Q, Fraction(7, 5))]
+    for desc, base in exact + sound:
+        for n in range(centre - 80, centre + 20):
+            try:
+                got = desc.power(base, n)
+            except ValueTooLarge as exc:
+                assert str(exc).startswith(f"a value of {desc} would have a bit length over "), exc
+                assert not _printable(base**n), (desc, base, n)
+            else:
+                assert got == base**n
+                if (desc, base) in exact:
+                    assert _printable(got), (desc, base, n)
+
+
+def test_the_power_bound_follows_the_digit_limit_and_its_default_when_off():
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(40_000)
+        assert rings.Z.power(2, 100_000) == 2**100_000
+        sys.set_int_max_str_digits(0)  # no limit: the default one bounds powers
+        with pytest.raises(ValueTooLarge):
+            rings.Z.power(2, 100_000)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_powers_that_stay_small_evaluate_and_growing_ones_are_refused_by_their_ring():
+    huge = 10**12
+    assert [rings.Z.power(a, huge) for a in (0, 1, -1)] == [0, 1, 1]
+    assert rings.Z.power(-1, huge + 1) == -1
+    assert rings.Q.power(Fraction(-1), huge + 1) == -1
+    assert rings.Mod(7).power(3, huge) == pow(3, huge, 7)
+    assert rings.ZERO.power(rings.TOK, huge) is rings.TOK
+    z3x = rings.Poly(Z3)
+    assert z3x.power((2,), huge) == (1,)  # a constant keeps degree 0
+    with pytest.raises(ValueTooLarge, match=re.escape("a value of Z3[x] would have a degree over ")):
+        z3x.power((1, 1), 10**6)
+    with pytest.raises(ValueTooLarge, match="^a value of Z would have a bit length over "):
+        rings.Product((Z2, rings.Z)).power((1, 3), 10**7)
 
 
 def test_a_product_coordinate_too_large_to_print_is_named_by_its_factor():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from meadows import rings
-from meadows.errors import ReservedIdentifier, TermSyntaxError, UnboundVariable
+from meadows.errors import ReservedIdentifier, TermSyntaxError, UnboundVariable, ValueTooLarge
 from meadows.meadow import build_meadow
 from meadows.morphisms import adjoin_error
 from meadows.terms import (
@@ -15,10 +15,12 @@ from meadows.terms import (
     Add,
     Div,
     ErrorConst,
+    Inv,
     Mul,
     Neg,
     Numeral,
     Pow,
+    Sub,
     Var,
     bind_env,
     eval_term,
@@ -169,9 +171,19 @@ def test_powers_equal_repeated_multiplication():
 def test_huge_exponent_is_fast(N, M6):
     t0 = time.perf_counter()
     assert eval_term(parse("1^100000"), N) == N.one
+    assert eval_term(parse("1^1000000000000"), N) == N.one
+    assert eval_term(parse("0^1000000000000"), N) == N.zero
+    assert eval_term(parse("(-1)^1000000000001"), N) == N.element("n0", -1)
+    assert eval_term(parse("x^1000000000001"), M6, {"x": M6.element("top", 5)}) == M6.element("top", 5)
     assert eval_term(parse("x^100001"), M6, {"x": M6.element("top", 5)}) == M6.element("top", 5)
     assert eval_term(parse("x^-100000"), M6, {"x": M6.element("top", 5)}) == M6.element("top", 1)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_a_power_past_the_print_limit_is_refused_naming_its_term(N):
+    # nesting multiplies exponents: the middle power is the first one refused
+    with pytest.raises(ValueTooLarge, match=r"^a value of Z would have a bit length over .*: \(\(3\)\^99\)\^99$"):
+        eval_term(parse("((3^99)^99)^99"), N)
 
 
 def test_unbound_variable(N):
@@ -223,6 +235,22 @@ def test_parse_print_parse_is_identity(t):
     text = format_term(t)
     once = parse(text)
     assert parse(format_term(once)) == once
+
+
+def test_term_nodes_are_immutable_hashable_and_equal_only_within_their_class():
+    x, y = Var("x"), Var("y")
+    with pytest.raises(AttributeError):
+        Add(x, y).left = y
+    with pytest.raises(AttributeError):
+        Numeral(1).n = 2
+    same_fields = [Add(x, y), Sub(x, y), Mul(x, y), Div(x, y)]
+    assert Add(x, y) != Mul(x, y) and not Add(x, y) == Mul(x, y)
+    assert Neg(x) != Inv(x) and Add(x, y) != (x, y) and (x, y) != Add(x, y)
+    assert len(set(same_fields)) == 4 and len({Neg(x), Inv(x)}) == 2
+    assert Add(x, y) == Add(Var("x"), Var("y")) and hash(Add(x, y)) == hash(Add(Var("x"), Var("y")))
+    assert {Pow(x, 2): "x^2"}[Pow(Var("x"), 2)] == "x^2"
+    for t in [*same_fields, Neg(x), Pow(Add(x, Numeral(2)), -3), ErrorConst(), Mul(Numeral(0), y)]:
+        assert parse(format_term(t)) == t
 
 
 @given(term_strategy())
