@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import axioms, rings
-from .errors import MeadowError
+from .errors import MeadowError, ParseError
 from .latfile import (
     lattice_to_dict,
     load_ideal_file,
@@ -48,6 +48,8 @@ def _parse_binding(meadow: Meadow, text: str):
         raise MeadowError(f"unknown node {node!r}")
     try:
         raw = json.loads(value_text)
+    except RecursionError as exc:
+        raise ParseError(f"cannot read the value of binding {name.strip()!r}: {exc}") from exc
     except ValueError:  # JSONDecodeError, or an int past the int/str digit limit
         raw = value_text  # bare fractions like 1/2
     return name.strip(), meadow.element(node, value_from_json(desc, raw))

@@ -29,9 +29,17 @@ from .morphisms import FiniteSubset, MeadowIdeal, NZ, WholeRing, ZeroIdeal
 
 # what a malformed file raises from the code that reads it (MeadowErrors pass)
 _MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+# how deep products may nest in a ring spec: a ring's str and payload code
+# recurse once per level, so a deeper spec could end in a RecursionError
+MAX_PRODUCT_DEPTH = 32
 
 
 def ring_from_json(obj) -> rings.RingDescriptor:
+    return _ring_from_json(obj, 0)
+
+
+def _ring_from_json(obj, depth: int) -> rings.RingDescriptor:
+    """The ring of ``obj``, a spec inside ``depth`` products."""
     if obj == "Z":
         return rings.Z
     if obj == "Q":
@@ -43,9 +51,11 @@ def ring_from_json(obj) -> rings.RingDescriptor:
             return rings.Mod(obj["mod"])
         if "poly" in obj:
             spec = obj["poly"]
-            return rings.Poly(ring_from_json(spec["base"]), spec.get("var", "x"))
+            return rings.Poly(_ring_from_json(spec["base"], depth), spec.get("var", "x"))
         if "product" in obj:
-            return rings.Product(tuple(ring_from_json(f) for f in obj["product"]))
+            if depth == MAX_PRODUCT_DEPTH:
+                raise ParseError(f"a ring spec nests products more than {MAX_PRODUCT_DEPTH} deep")
+            return rings.Product(tuple(_ring_from_json(f, depth + 1) for f in obj["product"]))
     raise ParseError(f"unrecognized ring spec {obj!r}")
 
 
@@ -150,7 +160,8 @@ def load_lattice_file(path) -> DirectedLattice:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON, or an int past the int/str digit limit
+    except (OSError, ValueError, RecursionError) as exc:
+        # bad JSON, an int past the int/str digit limit, or nesting past the recursion limit
         raise ParseError(f"cannot read {path}: {exc}") from exc
     dl = lattice_from_dict(data)
     dl_validate(dl).raise_if_failed()
@@ -235,6 +246,7 @@ def load_ideal_file(path, meadow: PreMeadow) -> MeadowIdeal:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON, or an int past the int/str digit limit
+    except (OSError, ValueError, RecursionError) as exc:
+        # bad JSON, an int past the int/str digit limit, or nesting past the recursion limit
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return ideal_from_dict(data, meadow)

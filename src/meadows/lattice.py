@@ -46,6 +46,19 @@ class Lattice:
         self._bottoms = self.minimal(self._nodes)
         # two nodes below each other have the same down-set
         self._antisymmetric = len(set(self._below.values())) == len(self._nodes)
+        # whether each node's down-set is a chain: on an antisymmetric order,
+        # when the node has at most one cover lower, whose down-set is a
+        # chain (nodes met by down-set size, so each cover lower comes
+        # first); an order with a cycle, which no lattice has, is checked
+        # pair by pair
+        self._chain: dict = {}
+        if self._antisymmetric:
+            for n in sorted(self._nodes, key=lambda n: len(self._below[n])):
+                lows = self._cover_lowers[n]
+                self._chain[n] = not lows or (len(lows) == 1 and self._chain[lows[0]])
+        else:
+            for n, down in self._below.items():
+                self._chain[n] = all(down <= self._below[m] | self._above[m] for m in down)
         self._meet_cache: dict[tuple, object] = {}
 
     @property
@@ -128,7 +141,9 @@ class Lattice:
         return self._cover_lowers[n]
 
     def is_chain(self) -> bool:
-        return all(len(self._below[n] | self._above[n]) == len(self._nodes) for n in self._nodes)
+        """True when some node lies above every node and its down-set is a
+        chain: on an antisymmetric order, the one top."""
+        return any(self._chain[n] and len(self._below[n]) == len(self._nodes) for n in self._nodes)
 
 
 def lattice_validate(L: Lattice) -> ValidationReport:

@@ -588,25 +588,93 @@ def _verify_inverses(m: Meadow) -> None:
     """Raise ``AmbiguousInverse`` at the first probe, in ``probe_pool()``
     order, whose image is a unit at more than one maximal node below it.
 
-    The probes are walked as (node, payload) pairs, node by node, and each
-    is certified by its cover descent (``Meadow._unit_stops``), which finds
-    the maximal nodes of ``inverse_witness`` without imaging the probe into
-    its whole down-set.  An element is built only for the error.
+    A probe at a node whose down-set is a chain is not walked: its unit
+    nodes lie in that chain, and the bottom's zero ring makes them a
+    non-empty set, so they have one maximal node.  Every other probe is
+    walked as a (node, payload) pair; an element is built only for the
+    error.
+
+    On exact data (``checked_exactly`` over the covers) the lattice is path
+    independent, so, by the argument of ``Meadow._unit_stops``, the
+    maximal unit nodes of p at node n are n when p is a unit there, else
+    the maximal nodes of the union of those of p's pushes along the cover
+    edges out of n.  One memo, shared by the whole pool, holds that set
+    for each (node, payload) a descent meets below the top, so a build
+    pushes each payload along each cover edge at most once.  The top's
+    probes are no descent's image and leave no entry, so the memo grows
+    with the rings below the top, not with the top's carrier.  The descent
+    keeps its own stack: a lattice may be taller than the recursion limit.
+
+    On sampled data a sample proves no path independence, so each probe
+    keeps its own descent through ``transition`` (``Meadow._unit_stops``),
+    and nothing is shared between probes.
+
+    Every node's payloads are listed before the first probe, a chain
+    node's too, so a finite ring too large to list is refused at load
+    wherever it sits in the order.
     """
-    maximal = m.lattice.maximal
-    # every node's probe payloads first, a finite ring's from the lattice's
-    # tables: a ring too large to list is refused before any probe
+    lattice, dl = m.lattice, m.dl
+    # every node's probe payloads first, a finite ring's from the lattice's tables
     pools = []
-    for node in m.lattice.nodes:
-        desc = m.dl.ring_at[node]
-        pools.append((node, m.dl.tables(desc).payloads if desc.finite else desc.sample()))
+    for node in lattice.nodes:
+        desc = dl.ring_at[node]
+        pools.append((node, dl.tables(desc).payloads if desc.finite else desc.sample()))
+    maximal_units = _memo_descent(dl) if dl._exact else _probe_descent(m)
     for node, payloads in pools:
+        if lattice._chain[node]:
+            continue
         for p in payloads:
-            stops = m._unit_stops((node, p))
-            if len(stops) > 1:
-                tops = maximal(stops)
-                if len(tops) != 1:
-                    raise AmbiguousInverse(m._wrap((node, p)), tops)
+            tops = maximal_units(node, p)
+            if len(tops) != 1:
+                raise AmbiguousInverse(m._wrap((node, p)), tops)
+
+
+def _probe_descent(m: Meadow):
+    """(node, payload) -> its maximal unit nodes, by the probe's own descent."""
+
+    def maximal_units(node, p):
+        stops = m._unit_stops((node, p))
+        return stops.keys() if len(stops) == 1 else m.lattice.maximal(stops)
+
+    return maximal_units
+
+
+def _memo_descent(dl: DirectedLattice):
+    """(node, payload) -> its maximal unit nodes, by a descent of the cover
+    edges on exact data that reads and fills one memo; see ``_verify_inverses``."""
+    lattice, ring_at, edges = dl.lattice, dl.ring_at, dl.edge_homs
+    top, maximal, lowers = lattice.top, lattice.maximal, lattice._cover_lowers
+    # node -> its ring's is_unit, itself as a node set, and its cover edges'
+    # (lower, compiled map), read as the descent first meets the node
+    at = _Memo(lambda n: (ring_at[n].is_unit, frozenset((n,)), [(c, edges[n, c].fn) for c in lowers[n]]))
+    joined = _Memo(lambda sets: maximal(frozenset().union(*sets)))  # node sets -> their union's maximal nodes
+    memo: dict = {}  # (node, payload) -> its maximal unit nodes
+
+    def maximal_units(node, p):
+        # a frame is a pair and, once its pushes are made, the pairs they
+        # reached; it is finished when all of those are in the memo
+        stack = [((node, p), None)]
+        while stack:
+            key, below = stack.pop()
+            if below is None:
+                if key in memo:
+                    continue
+                n, q = key
+                is_unit, alone, steps = at[n]
+                if is_unit(q):
+                    memo[key] = alone
+                    continue
+                below = [(c, fn(q)) for c, fn in steps]
+                missing = [(k, None) for k in below if k not in memo]
+                if missing:
+                    stack.append((key, below))
+                    stack += missing
+                    continue
+            found = {memo[k] for k in below}
+            memo[key] = found.pop() if len(found) == 1 else joined[frozenset(found)]
+        return memo.pop((node, p)) if node == top else memo[node, p]
+
+    return maximal_units
 
 
 def build_meadow(dl: DirectedLattice, mode: str = "verify") -> Meadow:
@@ -616,9 +684,12 @@ def build_meadow(dl: DirectedLattice, mode: str = "verify") -> Meadow:
     infinite carrier, verify mode probes the fixed sample pool of every
     component and the result stays "lazy": each later inverse call
     re-checks its own element.  Lazy mode skips the upfront scan entirely.
-    Certification (``_verify_inverses``) walks the probes' payloads node by
-    node, descending the covers, and builds no carrier: ``elements()`` is
-    left for the first caller that reads it.
+    Certification (``_verify_inverses``) lists every node's payloads, so a
+    ring too large to list is refused here, then walks the probes as
+    (node, payload) pairs, none at a node whose down-set is a chain; on
+    exact data one memo of maximal unit nodes, shared by all probes, lets
+    each payload cross each cover edge at most once.  It builds no
+    carrier: ``elements()`` is left for the first caller that reads it.
     """
     if mode not in ("verify", "lazy"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from meadows import rings
+from meadows import latfile, rings
 from meadows.cli import main
 from meadows.errors import ParseError, RingTooLarge, UnknownNode, ValidationFailed
 from meadows.latfile import (
@@ -650,6 +650,57 @@ def test_cli_json_samples_the_laws_of_a_large_finite_ring(tmp_path):
     reports = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [r["suite"] for r in reports] == ["PM", "CM", "NVL", "AVL", "CIL"]
     assert {r["mode"] for r in reports} == {"sampled:512"}
+
+
+DEEP_ARRAY = "[" * 100000
+
+
+def _deep_product_file(tmp_path):
+    ring = {"mod": 2}
+    for _ in range(300):
+        ring = {"product": [ring]}
+    return _one_node_file(tmp_path, "deep_product", ring)
+
+
+def _deep_array_file(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_ARRAY)
+    return path
+
+
+# nesting past the recursion limit: 100,000 open arrays in a lattice file, an
+# ideal file and a --bind value, which json cannot read, and products nested
+# 300 deep in a lattice file, which it can, but the ring's str could not
+DEEP_NESTING = {
+    "lattice_file": (lambda tmp: ["eval", str(_deep_array_file(tmp)), "1"], "cannot read "),
+    "ideal_file": (lambda tmp: ["quotient", "lattices/z.json", "--ideal", str(_deep_array_file(tmp))], "cannot read "),
+    "binding": (lambda tmp: ["eval", "lattices/z.json", "x", "--bind", f"x={DEEP_ARRAY}@z"], "cannot read the value of binding 'x': "),
+    "product": (lambda tmp: ["eval", str(_deep_product_file(tmp)), "1"], "a ring spec nests products more than 32 deep"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_NESTING))
+def test_cli_json_reports_nesting_past_the_recursion_limit_as_one_parse_error(name, tmp_path):
+    argv, detail = DEEP_NESTING[name]
+    proc, seconds = _run_limited(argv(tmp_path))
+    assert seconds < 5
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ParseError"
+    assert error["detail"].startswith(detail)
+
+
+def test_products_nest_up_to_the_depth_limit():
+    ring = {"mod": 2}
+    for _ in range(latfile.MAX_PRODUCT_DEPTH):
+        ring = {"product": [ring]}
+    assert str(latfile.ring_from_json(ring)) == "(" * 32 + "Z2" + ")" * 32
+    with pytest.raises(ParseError, match="more than 32 deep"):
+        latfile.ring_from_json({"product": [ring]})
 
 
 def test_cli_json_quotients_a_carrier_past_the_table_bound(tmp_path):

@@ -18,10 +18,16 @@ The lattices: the corpus meadows and its ambiguous lattices, the shipped
 files, the benchmark's seeded large files, and hypothesis-built divisor
 lattices of residue rings, some under the integers and many with
 ambiguous units.
+
+Certification itself (``_verify_inverses``) is also held to its work
+bound: no probe at a node whose down-set is a chain is walked, and on exact
+data one build pushes each payload along each cover edge at most once.
 """
 
 from __future__ import annotations
 
+import copy
+import inspect
 import json
 import pathlib
 import random
@@ -33,7 +39,7 @@ from hypothesis import given, settings, strategies as st
 from meadows import rings
 from meadows.errors import AmbiguousInverse, TableIncomplete
 from meadows.latfile import lattice_from_dict
-from meadows.lattice import DirectedLattice, Lattice
+from meadows.lattice import DirectedLattice, Lattice, dl_validate
 from meadows.meadow import Meadow, _verify_inverses, build_meadow
 
 import corpus
@@ -228,3 +234,74 @@ def test_certifying_a_chain_of_40_residue_rings_composes_no_transition():
     before = len(m.dl._transitions)
     _verify_inverses(m)  # 0 at each node descends to the bottom
     assert len(m.dl._transitions) == before
+
+
+# -- certification's work bound -----------------------------------------------
+
+
+def record_pushes(dl: DirectedLattice) -> list:
+    """Each cover edge's compiled map, wrapped to append (edge, payload) per push."""
+    pushes = []
+    for edge, hom in dl.edge_homs.items():
+        wrapped = copy.copy(hom)
+        object.__setattr__(wrapped, "fn", lambda p, fn=hom.fn, edge=edge: pushes.append((edge, p)) or fn(p))
+        dl.edge_homs[edge] = wrapped
+    return pushes
+
+
+BOUNDED = [(name, dl) for name, dl in LATTICES if name in ("file:glue_zp_towers", "seeded1:product_diamond_chain")]
+
+
+@pytest.mark.parametrize("name, dl", BOUNDED, ids=[name for name, _ in BOUNDED])
+def test_certification_pushes_each_payload_once_and_walks_no_probe_under_a_chain(name, dl):
+    dl = fresh(dl)
+    assert dl_validate(dl).ok and dl._exact
+    L = dl.lattice
+    chain_nodes = {n for n in L.nodes if all(L.leq(i, j) or L.leq(j, i) for i in L.down_set(n) for j in L.down_set(n))}
+    # what a descent from a walked probe may push out of a chain node: the
+    # images there of the probes at the nodes above it that are no chain
+    walked = [(m, dl.tables(dl.ring_at[m]).payloads) for m in L.nodes if m not in chain_nodes]
+    images = {n: {dl.transition(m, n).fn(p) for m, pool in walked if L.leq(n, m) for p in pool} for n in chain_nodes}
+    pushes = record_pushes(dl)
+    build_meadow(dl)
+    assert pushes and chain_nodes
+    assert len(pushes) == len(set(pushes))
+    for (n, _), p in pushes:
+        assert n not in chain_nodes or p in images[n], (n, p)
+
+
+def diamond_over_a_long_chain(length: int) -> dict:
+    """``gen.long_chain`` of Z2s with a diamond of Z2s, t over l and r, on top."""
+    data = gen.long_chain(length, 2)
+    for node in ("t", "l", "r"):
+        data["nodes"][node] = {"ring": gen.mod(2)}
+    data["order"] += [["n0", "l"], ["n0", "r"], ["l", "t"], ["r", "t"]]
+    data["homs"] += [{"from": up, "to": lo, "map": "identity"} for up, lo in (("t", "l"), ("t", "r"), ("l", "n0"), ("r", "n0"))]
+    return data
+
+
+def test_a_lattice_taller_than_the_recursion_headroom_certifies():
+    m = validated(lattice_from_dict(diamond_over_a_long_chain(300)))  # 0 @ t descends the whole chain
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        _verify_inverses(m)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert m.inverse(m.element("t", 0)) == m.a
+
+
+def test_sampled_data_off_a_chain_certify_like_the_scan_by_transitions():
+    # no rule proves the unit map a hom out of Q, so the diamond's checks are sampled
+    lat = Lattice(["t", "l", "r", "a"], [("a", "l"), ("a", "r"), ("l", "t"), ("r", "t")])
+    unit_map = rings.RingHom(rings.Q, rings.Q, rings.UnitMap())
+    ring_at = {"t": rings.Q, "l": rings.Q, "r": rings.Q, "a": rings.ZERO}
+    dl = DirectedLattice(lat, ring_at, {("t", "l"): unit_map, ("t", "r"): unit_map})
+    assert assert_same_certification(dl) is None
+    m = validated(dl)
+    assert not m.dl._exact
+    asked = []
+    transition = m.dl.transition
+    m.dl.transition = lambda i, j: asked.append((i, j)) or transition(i, j)
+    _verify_inverses(m)  # 0 @ t is a unit only at the bottom
+    assert set(asked) == {("t", "l"), ("t", "r"), ("t", "a")}
