@@ -24,7 +24,15 @@ from .morphisms import MeadowIdeal, PayloadSet, WholeRing, ZeroIdeal
 def _search_maps(n_src, n_dst, add_src, mul_src, add_dst, mul_dst, seeds):
     """All maps 0..n_src-1 -> 0..n_dst-1 respecting both index tables.
 
-    DFS with forced closure; a map is a dict in assignment order.
+    DFS with forced closure; a map is a dict in assignment order.  The
+    closure pops the most recently forced element x and, for each y
+    assigned at that moment, checks the sum and the product of (x, y): an
+    undetermined image is forced, a determined one must agree.  The tables
+    are commutative, as every ring's and meadow's are, so (y, x) names the
+    same equation and is not checked again: right after (x, y) its image is
+    already forced, so checking it would force nothing and fail nowhere.
+    The maps, their order and each map's item order are those of a search
+    that also checks (y, x).
     """
     results = []
 
@@ -32,25 +40,24 @@ def _search_maps(n_src, n_dst, add_src, mul_src, add_dst, mul_dst, seeds):
         queue = list(newly)
         while queue:
             x = queue.pop()
+            rows = (add_src[x], add_dst[assign[x]]), (mul_src[x], mul_dst[assign[x]])
             for y in list(assign):
-                for src_op, dst_op in ((add_src, add_dst), (mul_src, mul_dst)):
-                    for u, v in ((x, y), (y, x)):
-                        s = src_op[u][v]
-                        img = dst_op[assign[u]][assign[v]]
-                        if s in assign:
-                            if assign[s] != img:
-                                return False
-                        else:
-                            assign[s] = img
-                            queue.append(s)
+                fy = assign[y]
+                for src_row, dst_row in rows:
+                    s, img = src_row[y], dst_row[fy]
+                    got = assign.get(s)
+                    if got is None:
+                        assign[s] = img
+                        queue.append(s)
+                    elif got != img:
+                        return False
         return True
 
     def extend(assign):
-        missing = [e for e in range(n_src) if e not in assign]
-        if not missing:
+        x = next((e for e in range(n_src) if e not in assign), None)
+        if x is None:
             results.append(dict(assign))
             return
-        x = missing[0]
         for img in range(n_dst):
             trial = dict(assign)
             trial[x] = img

@@ -32,6 +32,8 @@ _MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 # how deep products may nest in a ring spec: a ring's str and payload code
 # recurse once per level, so a deeper spec could end in a RecursionError
 MAX_PRODUCT_DEPTH = 32
+# how many characters of a bad value an error message quotes
+MAX_ECHO = 80
 
 
 def ring_from_json(obj) -> rings.RingDescriptor:
@@ -84,7 +86,14 @@ def _payload_from_json(desc: rings.RingDescriptor, obj):
     try:
         return rings._payload(desc, obj)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad value {obj!r} for {desc}: {exc}") from exc
+        raise ParseError(f"bad value {_echo(repr(obj))} for {desc}: {_echo(str(exc))}") from exc
+
+
+def _echo(text: str) -> str:
+    """``text``, or its first ``MAX_ECHO`` characters and its length when longer."""
+    if len(text) <= MAX_ECHO:
+        return text
+    return f"{text[:MAX_ECHO]}... ({len(text)} characters)"
 
 
 def value_to_json(v: rings.RingValue):
@@ -136,7 +145,13 @@ def _hom_from_json(spec, source: rings.RingDescriptor, target: rings.RingDescrip
 def lattice_from_dict(data: dict) -> DirectedLattice:
     """Structural parse only; run dl_validate (or load_lattice_file) after."""
     try:
-        ring_at = {name: ring_from_json(spec["ring"]) for name, spec in data["nodes"].items()}
+        # equal specs share one descriptor, so a lookup keyed by a node's ring
+        # finds its key by identity
+        interned: dict = {}
+        ring_at = {}
+        for name, spec in data["nodes"].items():
+            desc = ring_from_json(spec["ring"])
+            ring_at[name] = interned.setdefault(desc, desc)
         zero_nodes = [n for n, d in ring_at.items() if isinstance(d, rings.Zero)]
         if len(zero_nodes) != 1:
             raise ParseError(f"exactly one node must carry the zero ring, found {zero_nodes}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import rings
@@ -23,6 +24,7 @@ from .errors import (
     IdealIsWhole,
     IdealNotKilled,
     InfiniteCarrier,
+    MeadowError,
     NotAHomomorphism,
     NotAZero,
     NotLatticeHom,
@@ -75,7 +77,14 @@ def hom_build(src: PreMeadow, dst: PreMeadow, lattice_map: dict, ring_maps: dict
     as ``dl_validate`` decides paths (``NodeProbes``): on each node ring's
     generators when the data is exact (both lattices passed ``dl_validate``
     and every cover edge and ring map is ``checked_exactly``), else on every
-    element of a finite node and the fixed sample of an infinite one.  The
+    element of a finite node and the fixed sample of an infinite one.  On
+    exact data only the squares (z, c) for the cover lowers c of each z are
+    checked: a transition z -> z2 is the cover edge z -> c followed by the
+    transition c -> z2 in both lattices (path independence, and the lattice
+    map keeps the order), so squares paste (Mac Lane, CWM II.7) and the
+    cover squares give every other.  When a cover square fails, every pair
+    is scanned again in node order, so the error names the first failing
+    (z, z2) of all and its witness; sampled data scan every pair.  The
     hom equations are scanned, on the first pairs of the probe pool, only on
     an infinite source whose data is not exact.  Otherwise they follow: for
     x at i, y at j and k = i meet j, with g the ring maps, d the source
@@ -125,19 +134,31 @@ def hom_build(src: PreMeadow, dst: PreMeadow, lattice_map: dict, ring_maps: dict
 
     # ``_exact`` is recorded only with a passing ``dl_validate`` report
     exact = src.dl._exact and dst.dl._exact and checked_exactly(ring_maps[z] for z in L.nodes)
-    for z in L.nodes:
-        node = NodeProbes(src.dl.ring_at[z], exact)
-        if not node.probes:  # exact data and a ring without generators
-            continue
-        map_here = ring_maps[z].fn
-        for z2 in L.nodes:
-            if z2 == z or not L.leq(z2, z):
+
+    def first_bad_square(lowers):
+        """(z, z2, witness) of the first square, z in node order and z2 in
+        ``lowers(z)``, that does not commute; else None."""
+        for z in L.nodes:
+            node = NodeProbes(src.dl.ring_at[z], exact)
+            if not node.probes:  # exact data and a ring without generators
                 continue
-            down, map_below = src.dl.transition(z, z2).fn, ring_maps[z2].fn
-            image_down = dst.dl.transition(lattice_map[z], lattice_map[z2]).fn
-            bad = node.first_difference(lambda p: map_below(down(p)), lambda p: image_down(map_here(p)))
-            if bad is not None:
-                raise SquareDoesNotCommute(z, z2, bad)
+            map_here = ring_maps[z].fn
+            for z2 in lowers(z):
+                down, map_below = src.dl.transition(z, z2).fn, ring_maps[z2].fn
+                image_down = dst.dl.transition(lattice_map[z], lattice_map[z2]).fn
+                bad = node.first_difference(lambda p: map_below(down(p)), lambda p: image_down(map_here(p)))
+                if bad is not None:
+                    return z, z2, bad
+        return None
+
+    def below(z):
+        return [z2 for z2 in L.nodes if z2 != z and L.leq(z2, z)]
+
+    bad = first_bad_square(L.cover_lowers if exact else below)
+    if bad is not None and exact:
+        bad = first_bad_square(below)  # the first failing pair of all, as the witness
+    if bad is not None:
+        raise SquareDoesNotCommute(*bad)
 
     f = MeadowHom(src, dst, lattice_map, ring_maps)
     if not (exact or src.is_finite()):
@@ -157,7 +178,33 @@ def identity_hom(m: PreMeadow) -> MeadowHom:
 
 
 def hom_from_carrier_map(src: PreMeadow, dst: PreMeadow, mapping: dict) -> MeadowHom:
-    """Lift an elementwise map on a finite carrier into a validated hom."""
+    """Lift an elementwise map on a finite carrier into a validated hom.
+
+    Between two validated lattices the map is decided on the carrier
+    indexes (``_lift_on_index``): it is a hom when f(1) = 1, f(x + y) =
+    f(x) + f(y) and f(xy) = f(x)f(y) on every pair.  Those equations imply
+    each of ``hom_build``'s checks:
+    - 1 lies at the top, so the top maps to the top;
+    - a + 1 = a, so f(a) lies at a node whose ring is zero: the bottom, the
+      only such node of a validated lattice;
+    - for x at z, 0_z = 0x and x = x + 0_z, so f(0_z) and f(x) lie at one
+      node: no component splits.  Meets follow from 0_z 0_w = 0_(z meet w),
+      and the order from meets;
+    - within z the equations make the ring map additive and multiplicative;
+      it fixes 0, as f(0_z) = f(0_z) + f(0_z), and 1, as 1_z = 1 + 0_z;
+    - the transition from z down to z2 is x -> x + 0_z2, so every square
+      commutes.
+    ``hom_build``'s docstring gives the converse, so a map passes exactly
+    when the structural lift accepts it, and the hom is the one that lift
+    builds.  Everything else takes the structural lift, one ``table_hom``
+    per node and then ``hom_build``, which raises its own first error: a map
+    that fails the equations, a mapping that misses an element or names a
+    foreign one, an unvalidated lattice, and an infinite carrier or one past
+    ``rings.TABLE_CELL_LIMIT``.
+    """
+    f = _lift_on_index(src, dst, mapping)
+    if f is not None:
+        return f
     lattice_map = {}
     ring_maps = {}
     by_node: dict = {}
@@ -173,6 +220,45 @@ def hom_from_carrier_map(src: PreMeadow, dst: PreMeadow, mapping: dict) -> Meado
             src.dl.ring_at[z], dst.dl.ring_at[lattice_map[z]], pairs
         )
     return hom_build(src, dst, lattice_map, ring_maps)
+
+
+def _lift_on_index(src: PreMeadow, dst: PreMeadow, mapping: dict) -> MeadowHom | None:
+    """The hom of ``mapping`` if it passes the carrier equations, else None.
+
+    The map is read as one index list ``img`` over ``src.freeze_tables()``;
+    it passes when ``img`` sends 1 to 1 and each row of ``add`` and ``mul``,
+    read through ``img``, equals the target's row at the image of its
+    element gathered at ``img``.  The hom holds, at each node, a
+    ``TableRule`` on the payloads the two indexes already hold.
+    """
+    if not (src.dl.validated() and dst.dl.validated()):
+        return None
+    try:
+        s, d = src.freeze_tables(), dst.freeze_tables()
+        img = list(map(d.position.__getitem__, map(mapping.__getitem__, s.elements)))
+        tables = (s.add, d.add), (s.mul, d.mul)
+    except (MeadowError, KeyError, TypeError):
+        return None
+    if img[s.key(src.one)] != d.key(dst.one):
+        return None
+    image = img.__getitem__
+    gather = operator.itemgetter(*img) if len(img) > 1 else lambda row: (row[img[0]],)
+    for src_table, dst_table in tables:
+        for row, y in zip(src_table, img):
+            if tuple(map(image, row)) != gather(dst_table[y]):
+                return None
+    lattice_map: dict = {}
+    entries: dict = {}  # node -> its (payload, image payload) pairs
+    targets = d.elements
+    for x, j in zip(s.elements, img):
+        y = targets[j]
+        lattice_map.setdefault(x.node, y.node)
+        entries.setdefault(x.node, []).append((x.value.payload, y.value.payload))
+    ring_maps = {}
+    for z, w in lattice_map.items():
+        ends = src.dl.ring_at[z], dst.dl.ring_at[w]
+        ring_maps[z] = rings.RingHom(*ends, rings.TableRule(tuple(entries[z]), ends))
+    return MeadowHom(src, dst, lattice_map, ring_maps)
 
 
 def hom_is_injective(f: MeadowHom):

@@ -703,6 +703,22 @@ def test_products_nest_up_to_the_depth_limit():
         latfile.ring_from_json({"product": [ring]})
 
 
+def test_cli_json_quotes_a_long_bad_value_in_part(capsys):
+    # json reads 900 nested arrays, the ring refuses them: the error quotes
+    # the value's first MAX_ECHO characters and its length, not all of it
+    value = "[" * 900 + "]" * 900
+    assert main(["--json", "eval", "lattices/z.json", "x", "--bind", f"x={value}@z"]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert error["error"] == "ParseError"
+    assert error["detail"].startswith("bad value " + "[" * latfile.MAX_ECHO + "... (1800 characters) for Z: ")
+    assert len(captured.err) < 4 * latfile.MAX_ECHO + 100
+    # a short one is quoted whole
+    assert main(["--json", "eval", "lattices/z.json", "x", "--bind", "x=[[1]]@z"]) == 1
+    detail = json.loads(capsys.readouterr().err)["detail"]
+    assert detail.startswith("bad value [[1]] for Z: ") and "..." not in detail
+
+
 def test_cli_json_quotients_a_carrier_past_the_table_bound(tmp_path):
     # 4,101 elements: the quotient map is checked without the carrier's tables
     path = tmp_path / "large_chain.json"
