@@ -266,13 +266,16 @@ def _compile(laws: tuple[Law, ...], nested: bool):
     return namespace["make_scan"], tuple(sorted(tables)), tuple(constants)
 
 
-def _scan(laws: tuple[Law, ...], m: PreMeadow, ix, nested: bool = False):
+def _scan(laws: tuple[Law, ...], ix, nested: bool = False):
     make_scan, names, constants = _compile(laws, nested)
     args = {name: getattr(ix, name) for name in names}
-    located = ix.constants  # each closed term is evaluated and located once per index
+    # each closed term is evaluated and located once per index, on the index's
+    # meadow: a carrier index's is a copy without caches, so what the evaluation
+    # leaves for the cyclic collector holds neither the meadow nor its tables
+    located = ix.constants
     for k, c in enumerate(constants):
         if c not in located:
-            located[c] = ix.key(eval_term(c, m))
+            located[c] = ix.key(eval_term(c, ix.meadow))
         args[f"c{k}"] = located[c]
     return make_scan(element=ix.element, power=rings._power, **args)
 
@@ -313,13 +316,13 @@ def _check_law(l: Law, scan, pool, exhaustive: bool, budget: int, rng) -> LawRes
     return _result(l, *scan(tuples))
 
 
-def _check_nested(laws: tuple[Law, ...], m: PreMeadow, ix, pool, budget: int) -> list[LawResult]:
+def _check_nested(laws: tuple[Law, ...], ix, pool, budget: int) -> list[LawResult]:
     """Each law's result, in suite order, from one nested scan per arity; a
     failing law's count is its witness's rank in product order, plus 1."""
     groups: dict[int, list[Law]] = {}  # arity -> its laws, in suite order
     for l in laws:
         groups.setdefault(len(l.variables), []).append(l)
-    scans = {k: _scan(tuple(group), m, ix, nested=True) for k, group in groups.items()}
+    scans = {k: _scan(tuple(group), ix, nested=True) for k, group in groups.items()}
     _check_budget(budget)
     results = {}
     for k, group in groups.items():
@@ -371,9 +374,9 @@ def check_axioms(
         zero_of, inverse = ix.zero_of, ix.inverse
         pool = [x for x in pool if zero_of[x] == zero_of[inverse[x]]]
     if nested:
-        results = _check_nested(laws, m, ix, pool, budget)
+        results = _check_nested(laws, ix, pool, budget)
     else:
-        scans = [_scan((l,), m, ix) for l in laws]
+        scans = [_scan((l,), ix) for l in laws]
         rng = None if exhaustive else random.Random(seed)  # an exhaustive check draws nothing
         results = [_check_law(l, scan, pool, exhaustive, budget, rng) for l, scan in zip(laws, scans)]
     complete = exhaustive or (finite and all(len(pool) ** len(l.variables) <= budget for l in laws))
@@ -459,6 +462,6 @@ def find_counterexample(dl, law_name: str, mode_budget: int = 512, seed: int = 0
         for l in suite:
             if l.name == law_name:
                 ix = m.lazy_index
-                result = _check_law(l, _scan((l,), m, ix), ix.pool, m.is_finite(), mode_budget, random.Random(seed))
+                result = _check_law(l, _scan((l,), ix), ix.pool, m.is_finite(), mode_budget, random.Random(seed))
                 return tuple(result.witnesses[0]) if result.witnesses else None
     raise ValueError(f"unknown law {law_name!r}")

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import axioms, rings
-from .errors import MeadowError, ParseError
+from .errors import MeadowError, ParseError, UnknownNode
 from .latfile import (
     lattice_to_dict,
     load_ideal_file,
@@ -34,10 +34,10 @@ def _load_meadow(path) -> Meadow:
 def _parse_binding(meadow: Meadow, text: str):
     name, _, rest = text.partition("=")
     if not rest:
-        raise MeadowError(f"binding {text!r} is not of the form name=value@node")
+        raise ParseError(f"binding {text!r} is not of the form name=value@node")
     value_text, _, node = rest.partition("@")
     if not node:
-        raise MeadowError(f"binding {text!r} is missing the @node part")
+        raise ParseError(f"binding {text!r} is missing the @node part")
     desc = None
     for n in meadow.lattice.nodes:
         if str(n) == node:
@@ -45,7 +45,7 @@ def _parse_binding(meadow: Meadow, text: str):
             node = n
             break
     if desc is None:
-        raise MeadowError(f"unknown node {node!r}")
+        raise UnknownNode(f"unknown node {node!r}")
     try:
         raw = json.loads(value_text)
     except RecursionError as exc:

@@ -65,8 +65,11 @@ def _search_maps(n_src, n_dst, add_src, mul_src, add_dst, mul_dst, seeds):
                 extend(trial)
 
     start = dict(seeds)
-    if consistent(start, list(start)):
-        extend(start)
+    try:
+        if consistent(start, list(start)):
+            extend(start)
+    finally:
+        del extend  # extend's cell holds extend: emptied, it leaves no cycle holding the tables
     return results
 
 

@@ -192,6 +192,7 @@ class DirectedLattice:
         self._passed: ValidationReport | None = None  # dl_validate's passing report
         self._exact = False  # passed on exact data (``checked_exactly`` over the covers)
         self._tables: dict = {}  # finite ring -> its FiniteTables
+        self._layout = None  # the carrier's meadow.CarrierLayout, built by its first CarrierIndex
 
     def transition(self, i, j) -> rings.RingHom:
         """The composite hom from the ring at i down to the ring at j.

@@ -104,6 +104,10 @@ class PreMeadow:
         node, payload = pair
         return MeadowElement(node, rings.RingValue(self.dl.ring_at[node], payload))
 
+    def _bare(self) -> "PreMeadow":
+        """A structure of this kind on this lattice, with none of this one's caches."""
+        return PreMeadow(self.dl)
+
     # -- carrier ---------------------------------------------------------------
 
     def is_finite(self) -> bool:
@@ -205,9 +209,9 @@ class PreMeadow:
 
     def operation_table(self, op: str) -> dict:
         """Explicit table for add, mul, neg, zero_of or inverse; finite only."""
-        ix = self.freeze_tables()
         if op not in TABLE_OPS:
             raise ValueError(f"unknown operation {op!r}")
+        ix = self.freeze_tables()
         elems, table = ix.elements, getattr(ix, op)
         if op in ("add", "mul"):
             return {
@@ -239,22 +243,21 @@ class CarrierIndex:
     from each ring's inverse list, read through the same push lists: x
     inverts at the maximal nodes below it where its push is a unit.
     So every entry is what the element operation returns.
+
+    The numbering, push lists and row-block plan depend on the lattice
+    alone: they are its ``CarrierLayout``, shared by every index on it.
+    ``elements``, ``position``, the tables and ``constants`` are per index.
+    ``meadow`` is a copy of the indexed meadow without its caches
+    (``PreMeadow._bare``), so the two make no reference cycle.
     """
 
     def __init__(self, m: PreMeadow):
-        if not m.is_finite():
-            raise InfiniteCarrier("carrier is infinite")
-        self.meadow = m
-        self._rings: dict = {}  # node -> the FiniteTables of its ring, the lattice's own
-        self._start: dict = {}  # node -> index of its first element
-        size = 0
-        for n in m.lattice.nodes:
-            self._rings[n] = m.dl.tables(m.dl.ring_at[n])
-            self._start[n] = size
-            size += len(self._rings[n].payloads)
-        self._nodes, self._starts = list(self._start), list(self._start.values())
-        self._pushes: dict = {}
-        self.pool = range(size)
+        dl = m.dl
+        layout = dl._layout = dl._layout or CarrierLayout(dl)
+        self.meadow, self._layout = m._bare(), layout
+        self._rings, self._start = layout.rings, layout.start
+        self._nodes, self._starts = layout.nodes, layout.starts
+        self.pool = range(layout.size)
         self.constants: dict = {}  # closed term -> its index, filled by the law scans
 
     @functools.cached_property
@@ -273,40 +276,10 @@ class CarrierIndex:
         node = self._nodes[bisect.bisect_right(self._starts, k) - 1]
         return self.meadow._wrap((node, self._rings[node].payloads[k - self._start[node]]))
 
-    def _push(self, i, k) -> tuple:
-        """(push list, gather) from node i to node k below it: the local
-        index at k of the image of each element of i, and ``_gather`` of it."""
-        got = self._pushes.get((i, k))
-        if got is None:
-            payloads = self._rings[i].payloads
-            if i == k:
-                got = range(len(payloads)), None
-            else:
-                fn, local = self.meadow.dl.transition(i, k).fn, self._rings[k].index
-                images = [local[fn(p)] for p in payloads]
-                got = images, _gather(images)
-            self._pushes[(i, k)] = got
-        return got
-
-    @functools.cached_property
-    def _plan(self) -> list[list[tuple]]:
-        """Per node i, its blocks: for each node j in turn, the meet k of i
-        and j, the push list of i to k, and the gather that picks the pushes
-        of j's elements to k out of a row of k's table (None when j is k).
-        Shared by ``add`` and ``mul``."""
-        meet, push = self.meadow.lattice.meet, self._push
-        plan = []
-        for i in self._nodes:
-            blocks = []
-            for j in self._nodes:
-                k = meet(i, j)
-                blocks.append((k, push(i, k)[0], push(j, k)[1]))
-            plan.append(blocks)
-        return plan
-
     def _binary(self, op: str) -> list[list[int]]:
         rings.check_cells("the carrier", len(self.pool))
-        plan, shifted = self._plan, {}  # node -> its ring's table, offset by the node's start
+        plan = self._layout.plan(self.meadow.dl)
+        shifted = {}  # node -> its ring's table, offset by the node's start
         for k in self._nodes:
             start, table = self._start[k], getattr(self._rings[k], op)
             shifted[k] = table if start == 0 else [[start + c for c in row] for row in table]
@@ -357,12 +330,13 @@ class CarrierIndex:
         a unit.  The maximal nodes of each distinct set of unit columns are
         found once, at its first element in carrier order, where an
         ambiguous one raises."""
-        lattice = self.meadow.lattice
+        dl, push = self.meadow.dl, self._layout.push
+        lattice = dl.lattice
         out: list = []
         for i, t in self._rings.items():
             down = lattice.down_set(i)
             below = [j for j in self._nodes if j in down]
-            columns = [list(map(self._rings[j].inverse.__getitem__, self._push(i, j)[0])) for j in below]
+            columns = [list(map(self._rings[j].inverse.__getitem__, push(dl, i, j)[0])) for j in below]
             own, nones = below.index(i), [None] * len(below)
             tops: dict = {}  # which columns are units -> (start of the node it inverts at, its column)
             for a, row in enumerate(zip(*columns)):
@@ -383,6 +357,62 @@ class CarrierIndex:
                     top = tops[units] = self._start[below[c]], c
                 out.append(top[0] + row[top[1]])
         return out
+
+
+class CarrierLayout:
+    """What a ``CarrierIndex`` holds that depends on its directed lattice
+    alone, kept as the lattice's ``_layout``.  ``rings[n]`` is the
+    lattice's ``FiniteTables`` of node n's ring and ``start[n]`` the index
+    of n's first element (``nodes`` and ``starts`` list the same), ``size``
+    counts the carrier, and ``push`` and ``plan`` are each kept once built.
+    One whose transition raises is not kept, so it raises again for the
+    next index.  Holding no lattice, the layout makes no cycle with it."""
+
+    def __init__(self, dl: DirectedLattice):
+        if not dl.is_finite():
+            raise InfiniteCarrier("carrier is infinite")
+        self.rings: dict = {}  # node -> the FiniteTables of its ring, the lattice's own
+        self.start: dict = {}  # node -> index of its first element
+        size = 0
+        for n in dl.lattice.nodes:
+            self.rings[n] = dl.tables(dl.ring_at[n])
+            self.start[n] = size
+            size += len(self.rings[n].payloads)
+        self.nodes, self.starts, self.size = list(self.start), list(self.start.values()), size
+        self._pushes: dict = {}
+        self._plan: list | None = None
+
+    def push(self, dl: DirectedLattice, i, k) -> tuple:
+        """(push list, gather) from node i to node k below it: the local
+        index at k of the image of each element of i, and ``_gather`` of it."""
+        got = self._pushes.get((i, k))
+        if got is None:
+            payloads = self.rings[i].payloads
+            if i == k:
+                got = range(len(payloads)), None
+            else:
+                fn, local = dl.transition(i, k).fn, self.rings[k].index
+                images = [local[fn(p)] for p in payloads]
+                got = images, _gather(images)
+            self._pushes[(i, k)] = got
+        return got
+
+    def plan(self, dl: DirectedLattice) -> list[list[tuple]]:
+        """Per node i, its blocks: for each node j in turn, the meet k of i
+        and j, the push list of i to k, and the gather that picks the pushes
+        of j's elements to k out of a row of k's table (None when j is k).
+        Shared by ``add`` and ``mul``."""
+        if self._plan is None:
+            meet, push = dl.lattice.meet, self.push
+            plan = []
+            for i in self.nodes:
+                blocks = []
+                for j in self.nodes:
+                    k = meet(i, j)
+                    blocks.append((k, push(dl, i, k)[0], push(dl, j, k)[1]))
+                plan.append(blocks)
+            self._plan = plan
+        return self._plan
 
 
 def _gather(indices: list[int]) -> operator.itemgetter:
@@ -450,6 +480,9 @@ class Meadow(PreMeadow):
     def __init__(self, dl: DirectedLattice, status: str):
         super().__init__(dl)
         self.status = status  # "verified" (finite, exhaustive) or "lazy"
+
+    def _bare(self) -> "Meadow":
+        return Meadow(self.dl, self.status)
 
     def _units(self, x) -> dict:
         """node -> image of the pair x there, for each node below x where it is a unit."""

@@ -16,6 +16,12 @@ ambiguous ones built lazily), the benchmark's finite seeded large files,
 hypothesis-built divisor lattices, products and glues, unvalidated
 diamonds (an edge table that misses an input, a one-element ring above the
 bottom), an order with a cycle, and a pre-meadow, which has no inverse.
+
+Every index on one directed lattice shares its ``CarrierLayout``.  A
+second meadow on a lattice must give the first one's tables while calling
+no transition and no edge map, a pre-meadow beside a meadow must still
+fail at its inverse alone, and a push that raises must raise the same
+error again for the next meadow.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meadows import rings
-from meadows.errors import AmbiguousInverse, NotALattice, TableIncomplete
+from meadows.errors import AmbiguousInverse, MissingEdgeHom, NotALattice, TableIncomplete
 from meadows.latfile import lattice_from_dict
 from meadows.lattice import DirectedLattice, Lattice
 from meadows.meadow import TABLE_OPS, Meadow, PreMeadow, build_meadow
@@ -271,3 +277,80 @@ def test_products_match(a, b):
 def test_glues_match(a, b):
     meadows = dict(corpus.finite_meadows())
     assert_same_index(glue(meadows[a], meadows[b], 2).dl)
+
+
+# -- one layout per directed lattice, shared by every index on it ---------------
+
+MEADOWS = corpus.finite_meadows()
+MEADOW_IDS = [name for name, _ in MEADOWS]
+
+
+@pytest.mark.parametrize("name, m", MEADOWS, ids=MEADOW_IDS)
+def test_a_second_meadow_on_one_lattice_gets_the_same_tables(name, m):
+    dl = fresh(m.dl)
+    first = Meadow(dl, m.status).freeze_tables()
+    want = {op: getattr(first, op) for op in TABLE_OPS}
+    second = Meadow(dl, m.status).freeze_tables()
+    ref = ReferenceIndex(Meadow(fresh(m.dl), m.status))
+    for op in TABLE_OPS:
+        assert getattr(second, op) == want[op] == getattr(ref, op), op
+    assert second.elements == first.elements and second.elements is not first.elements
+
+
+def _raise(*args):
+    raise AssertionError("a second freeze pushed a payload")
+
+
+@pytest.mark.parametrize("name, m", MEADOWS, ids=MEADOW_IDS)
+@pytest.mark.parametrize("first_op", ("add", "inverse"))
+def test_a_second_freeze_calls_no_transition_and_no_edge_map(name, m, first_op, monkeypatch):
+    # the first meadow makes every push: ``add`` through the block plan,
+    # ``inverse`` down each node's down-set, which are the same node pairs
+    dl = fresh(m.dl)
+    getattr(Meadow(dl, m.status).freeze_tables(), first_op)
+    ref = ReferenceIndex(Meadow(fresh(m.dl), m.status))
+    want = {op: getattr(ref, op) for op in TABLE_OPS}
+    with monkeypatch.context() as patch:
+        patch.setattr(DirectedLattice, "transition", _raise)
+        for edge, h in list(dl.edge_homs.items()):
+            dead = rings.RingHom(h.source, h.target, h.rule)
+            object.__setattr__(dead, "fn", _raise)
+            patch.setitem(dl.edge_homs, edge, dead)
+        for op in TABLE_OPS:
+            assert getattr(Meadow(dl, m.status).freeze_tables(), op) == want[op], op
+
+
+def test_a_pre_meadow_and_a_meadow_share_one_lattice():
+    dl = fresh(corpus.field_diamond())
+    ref = ReferenceIndex(Meadow(fresh(dl), "lazy"))
+    pre, meadow = PreMeadow(dl).freeze_tables(), Meadow(dl, "lazy").freeze_tables()
+    assert meadow.inverse == ref.inverse
+    want = read(lambda: ReferenceIndex(PreMeadow(fresh(dl))), "inverse")
+    assert want[:3] == ("raised", AttributeError, "'PreMeadow' object has no attribute '_inverse'")
+    assert read(lambda: pre, "inverse") == want
+    # and the other way round: the pre-meadow's failure leaves the layout whole
+    assert read(lambda: PreMeadow(dl).freeze_tables(), "inverse") == want
+    assert pre.add == meadow.add == ref.add
+    assert Meadow(dl, "lazy").freeze_tables().inverse == ref.inverse
+
+
+def _missing_edge() -> DirectedLattice:
+    # unvalidated: the diamond's t -> l edge has no hom
+    z4, z2 = rings.Mod(4), rings.Mod(2)
+    return _diamond({"t": z4, "l": z2, "r": z2}, {("t", "r"): rings.mod_to_mod(4, 2)})
+
+
+@pytest.mark.parametrize("make, cls", [
+    (corpus.z4_diamond_missing_3, TableIncomplete),
+    (_missing_edge, MissingEdgeHom),
+], ids=["missing-entry", "missing-edge"])
+def test_a_push_that_raises_raises_again_for_the_next_meadow(make, cls):
+    dl = make()
+    for op in ("add", "mul", "inverse"):
+        want = read(lambda: ReferenceIndex(Meadow(make(), "lazy")), op)
+        assert want[:2] == ("raised", cls), op
+        for _ in range(2):
+            assert read(lambda: Meadow(dl, "lazy").freeze_tables(), op) == want, op
+    assert dl._layout._plan is None
+    # the pushes that succeed are kept, and read again by the next meadow
+    assert read(lambda: Meadow(dl, "lazy").freeze_tables(), "neg")[0] == "ok"

@@ -719,6 +719,18 @@ def test_cli_json_quotes_a_long_bad_value_in_part(capsys):
     assert detail.startswith("bad value [[1]] for Z: ") and "..." not in detail
 
 
+@pytest.mark.parametrize("binding, error, detail", [
+    ("x=7@t", "UnknownNode", "unknown node 't'"),
+    ("x7@z", "ParseError", "binding 'x7@z' is not of the form name=value@node"),
+    ("x=7", "ParseError", "binding 'x=7' is missing the @node part"),
+])
+def test_cli_json_names_a_bad_binding_by_its_own_error(binding, error, detail, capsys):
+    # a node outside the lattice is an UnknownNode, as in an ideal file; a
+    # binding without its = or @ is unreadable, like an unreadable value
+    assert main(["--json", "eval", "lattices/z6.json", "x", "--bind", binding]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": error, "detail": detail}
+
+
 def test_cli_json_quotients_a_carrier_past_the_table_bound(tmp_path):
     # 4,101 elements: the quotient map is checked without the carrier's tables
     path = tmp_path / "large_chain.json"

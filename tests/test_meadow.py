@@ -1,11 +1,16 @@
 """Meadow construction, total operations, inverses and decomposition."""
 
+import gc
+import weakref
+
 import pytest
 
 from meadows import rings
+from meadows.axioms import check_axioms, check_characterizations
+from meadows.enumeration import enumerate_meadow_hom_maps, enumerate_meadow_ideals
 from meadows.errors import AmbiguousInverse, ForeignElement, InfiniteCarrier, NotAZero
-from meadows.meadow import MeadowElement, build_meadow, build_premeadow
-from meadows.morphisms import adjoin_error
+from meadows.meadow import Meadow, MeadowElement, build_meadow, build_premeadow
+from meadows.morphisms import adjoin_error, hom_from_carrier_map
 
 import corpus
 
@@ -200,3 +205,50 @@ def test_premeadow_skips_inverse_checks():
     x = pre.element("z", 3)
     assert pre.add(x, pre.a) == pre.a
     assert not hasattr(pre, "inverse")
+
+
+def test_an_unknown_table_op_is_refused_before_any_table(N, M6):
+    with pytest.raises(ValueError, match="unknown operation 'div'"):
+        N.operation_table("div")  # an infinite carrier, which has no tables
+    m = Meadow(M6.dl, M6.status)
+    with pytest.raises(ValueError, match="unknown operation 'div'"):
+        m.operation_table("div")
+    assert m._index is None
+
+
+def test_a_checked_and_frozen_meadow_is_freed_without_the_cyclic_collector():
+    dl = build_meadow(corpus.z2_diamond_with_meet()).dl
+    gc.collect()
+    gc.disable()
+    try:
+        m = Meadow(dl, "verified")
+        assert check_axioms(m, "CM", exhaustive=True).ok
+        assert check_characterizations(m, "NVL_AVL_struct").ok
+        assert enumerate_meadow_ideals(m)
+        ix = m.freeze_tables()
+        inverse = ix.inverse
+        alive = weakref.ref(m)
+        del m
+        assert alive() is None
+    finally:
+        gc.enable()
+    # an index kept alone still maps elements to indices and back, and builds its tables
+    assert [ix.key(ix.element(k)) for k in inverse] == inverse
+    assert len(ix.elements) == len(inverse) == len(ix.add) == len(ix.mul)
+
+
+def test_a_hom_search_and_its_lifts_leave_nothing_for_the_cyclic_collector():
+    a, b = build_meadow(corpus.z2_diamond_with_meet()), adjoin_error(rings.Mod(2))
+    m, n = Meadow(a.dl, a.status), Meadow(b.dl, b.status)
+    m.freeze_tables().add, n.freeze_tables().add
+    gc.collect()
+    gc.disable()
+    try:
+        homs = [hom_from_carrier_map(m, n, mp) for mp in enumerate_meadow_hom_maps(m, n)]
+        assert homs
+        alive = weakref.ref(m), weakref.ref(n)
+        del homs, m, n
+        assert alive[0]() is None and alive[1]() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
